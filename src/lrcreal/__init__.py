@@ -33,7 +33,7 @@ from .engine import (
     state_value,
 )
 from .errors import DomainError, ExprParseError
-from .numeric import Rational, gcd, make_rational, rat_cmp
+from .numeric import Rational, gcd
 from .reals import (
     GREATER,
     LESS,

@@ -12,7 +12,8 @@ Rational literals standing for numbers must lie in [0, 1]. ``add`` is the
 unchecked combination 1*x + 1*y + 0 with a best-effort overflow check;
 ``affine`` runs in checked mode (coefficient sum at most 1).
 
-Exit codes: 0 success, 1 syntax error, 2 domain error.
+Exit codes: 0 success, 1 syntax error, 2 domain error or an expression
+nested too deeply for the Python stack.
 """
 
 import argparse
@@ -349,6 +350,9 @@ def main(argv=None) -> int:
         return 1
     except (DomainError, ZeroDivisionError, ValueError) as err:
         print("error: %s" % err, file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: expression nested too deeply", file=sys.stderr)
         return 2
     raise AssertionError("unreachable command: %r" % args.command)
 

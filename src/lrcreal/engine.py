@@ -11,6 +11,11 @@ of step:
 * consumption: otherwise read one digit from each input, fold those
   digits into the constant term, and double both input denominators.
 
+Both rewrites rest on one fact about digits: digit d with weight
+k(L) = 0, k(C) = 1, k(R) = 2 maps a tail value t to ``t/2 + k/4``. So
+emitting d rescales V to ``V' = 2V - k/2``, and reading d1 and d2 turns
+the constant term into ``c/c' + k1*a/(4a') + k2*b/(4b')``.
+
 Writing V = (a/a')p + (b/b')q + c/c' for input values p, q in [0, 1],
 the production tests are, in priority order:
 
@@ -25,8 +30,10 @@ reach q >= 8p) is positive, and it strictly drops on every consumption.
 Consumption runs are therefore finite and the output stream productive,
 for any positive-coefficient state.
 
-All tests and rewrites are exact integer arithmetic; nothing here touches
-floating point.
+The step loop works on plain tuples ``(a, a', b, b', c, c', v1, v2)``;
+``AffineData`` and ``Decision`` are the checked view of the same helpers
+that callers and tests use. All tests and rewrites are exact integer
+arithmetic; nothing here touches floating point.
 """
 
 from dataclasses import dataclass
@@ -42,9 +49,7 @@ from .streams import Stream, unfold
 __all__ = [
     "AffineData",
     "Decision",
-    "positive_coefficients",
     "state_value",
-    "state_bounds",
     "decide",
     "prod_R",
     "prod_L",
@@ -101,9 +106,8 @@ class Decision(Enum):
     CONSUME = "consume"
 
 
-def positive_coefficients(x: AffineData) -> bool:
-    a, a_den, b, b_den, c, c_den = x.coefficients
-    return a >= 0 and b >= 0 and c >= 0 and a_den > 0 and b_den > 0 and c_den > 0
+#: Quarter-steps a digit adds to the left end of its sub-interval.
+_WEIGHT = {Digit.L: 0, Digit.C: 1, Digit.R: 2}
 
 
 def state_value(x: AffineData, p: Fraction, q: Fraction) -> Fraction:
@@ -115,96 +119,83 @@ def state_value(x: AffineData, p: Fraction, q: Fraction) -> Fraction:
     )
 
 
-def state_bounds(x: AffineData) -> Tuple[Fraction, Fraction]:
-    """Range of the state value over all inputs p, q in [0, 1]."""
-    lo = Fraction(x.c, x.c_den)
-    hi = Fraction(x.a, x.a_den) + Fraction(x.b, x.b_den) + lo
-    return lo, hi
+def _choose(a, a_den, b, b_den, c, c_den) -> Optional[Digit]:
+    """The digit the coefficients justify emitting, or None to consume.
 
-
-def decide(x: AffineData) -> Decision:
-    """Which digit the coefficients justify emitting, if any.
-
-    Tests R, then L, then C, then falls back to consumption. The tests
-    overlap (a state can pass both L and C); the fixed order makes the
-    output deterministic. All three are scale-invariant in each
-    coefficient pair, so ``decide`` commutes with ``normalize``.
+    Tests R, then L, then C. The tests overlap (a state can pass both L
+    and C); the fixed order makes the output deterministic. All three are
+    scale-invariant in each coefficient pair, so the choice commutes with
+    normalization.
     """
-    a, a_den, b, b_den, c, c_den = x.coefficients
     if c_den <= 2 * c:
-        return Decision.EMIT_R
+        return Digit.R
     weighted = a * b_den * c_den + b * a_den * c_den + a_den * b_den * c
     den_prod = a_den * b_den * c_den
     if 2 * weighted <= den_prod:
-        return Decision.EMIT_L
+        return Digit.L
     if 4 * weighted <= 3 * den_prod and c_den <= 4 * c:
-        return Decision.EMIT_C
-    return Decision.CONSUME
+        return Digit.C
+    return None
+
+
+def _emit(digit, a, a_den, b, b_den, c, c_den):
+    """Rescale after emitting ``digit`` of weight k: V' = 2V - k/2."""
+    return 2 * a, a_den, 2 * b, b_den, 4 * c - _WEIGHT[digit] * c_den, 2 * c_den
+
+
+def _carry(d1: Digit, d2: Digit, a, a_den, b, b_den, c, c_den):
+    """New constant term after absorbing one digit from each input.
+
+    Reading digit d turns an input value p into p'/2 + k(d)/4, so the
+    absorbed digits add the quarter-steps k1*a/(4a') and k2*b/(4b') to
+    c/c'; over the common denominator 4a'b'c' that is
+    ``4c*a'b' + k1*a*b'c' + k2*b*a'c'``.
+    """
+    return (
+        4 * c * a_den * b_den + _WEIGHT[d1] * a * b_den * c_den + _WEIGHT[d2] * b * a_den * c_den,
+        4 * a_den * b_den * c_den,
+    )
+
+
+def _consume(a, a_den, b, b_den, c, c_den, v1, v2):
+    """Read one digit from each input; both input denominators double."""
+    d1, v1 = v1.force()
+    d2, v2 = v2.force()
+    c, c_den = _carry(d1, d2, a, a_den, b, b_den, c, c_den)
+    return a, 2 * a_den, b, 2 * b_den, c, c_den, v1, v2
+
+
+def _reduce(a, a_den, b, b_den, c, c_den):
+    """Divide each coefficient pair by its gcd."""
+    ga = gcd(a, a_den)
+    gb = gcd(b, b_den)
+    gc = gcd(c, c_den)
+    return a // ga, a_den // ga, b // gb, b_den // gb, c // gc, c_den // gc
+
+
+def decide(x: AffineData) -> Decision:
+    """Which digit the coefficients justify emitting, if any (see ``_choose``)."""
+    digit = _choose(*x.coefficients)
+    return Decision.CONSUME if digit is None else Decision(digit.value)
 
 
 def prod_R(x: AffineData) -> AffineData:
     """Rescale after emitting R: V' = 2V - 1. Requires c_den <= 2c."""
     if x.c_den > 2 * x.c:
         raise DomainError("prod_R needs c_den <= 2c, got c=%d c_den=%d" % (x.c, x.c_den))
-    return x.with_coefficients(
-        2 * x.a, x.a_den, 2 * x.b, x.b_den, 2 * x.c - x.c_den, x.c_den
-    )
+    return x.with_coefficients(*_emit(Digit.R, *x.coefficients))
 
 
 def prod_L(x: AffineData) -> AffineData:
     """Rescale after emitting L: V' = 2V."""
-    return x.with_coefficients(2 * x.a, x.a_den, 2 * x.b, x.b_den, 2 * x.c, x.c_den)
+    return x.with_coefficients(*_emit(Digit.L, *x.coefficients))
 
 
 def prod_C(x: AffineData) -> AffineData:
     """Rescale after emitting C: V' = 2V - 1/2. Requires c_den <= 4c."""
     if x.c_den > 4 * x.c:
         raise DomainError("prod_C needs c_den <= 4c, got c=%d c_den=%d" % (x.c, x.c_den))
-    return x.with_coefficients(
-        2 * x.a, x.a_den, 2 * x.b, x.b_den, 4 * x.c - x.c_den, 2 * x.c_den
-    )
-
-
-def _carry(d1: Digit, d2: Digit, a, a_den, b, b_den, c, c_den):
-    """New constant term after absorbing one digit from each input.
-
-    Each row restates V = (a/a')p + (b/b')q + c/c' in terms of the tail
-    values p', q', where reading digit d turns p into emit_value(d, p'):
-    L contributes nothing, R adds the half-step a/(2a') (resp. b/(2b')),
-    C adds the quarter-step a/(4a') (resp. b/(4b')).
-    """
-    match d1, d2:
-        case Digit.L, Digit.L:
-            return c, c_den
-        case Digit.L, Digit.R:
-            return b * c_den + 2 * c * b_den, 2 * b_den * c_den
-        case Digit.R, Digit.L:
-            return a * c_den + 2 * c * a_den, 2 * a_den * c_den
-        case Digit.L, Digit.C:
-            return b * c_den + 4 * c * b_den, 4 * b_den * c_den
-        case Digit.C, Digit.L:
-            return a * c_den + 4 * c * a_den, 4 * a_den * c_den
-        case Digit.R, Digit.C:
-            return (
-                2 * a * b_den * c_den + b * a_den * c_den + 4 * c * a_den * b_den,
-                4 * a_den * b_den * c_den,
-            )
-        case Digit.C, Digit.R:
-            return (
-                2 * b * a_den * c_den + a * b_den * c_den + 4 * c * b_den * a_den,
-                4 * b_den * a_den * c_den,
-            )
-        case Digit.R, Digit.R:
-            return (
-                a * b_den * c_den + b * a_den * c_den + 2 * c * a_den * b_den,
-                2 * a_den * b_den * c_den,
-            )
-        case Digit.C, Digit.C:
-            return (
-                b * a_den * c_den + a * b_den * c_den + 4 * c * b_den * a_den,
-                4 * b_den * a_den * c_den,
-            )
-    raise TypeError("digit pair expected, got %r, %r" % (d1, d2))
+    return x.with_coefficients(*_emit(Digit.C, *x.coefficients))
 
 
 def consume(x: AffineData) -> AffineData:
@@ -216,11 +207,7 @@ def consume(x: AffineData) -> AffineData:
         state_value(consume(x), p', q')
             == state_value(x, emit_value(d1, p'), emit_value(d2, q'))
     """
-    d1, t1 = x.v1.force()
-    d2, t2 = x.v2.force()
-    a, a_den, b, b_den, c, c_den = x.coefficients
-    c1, c1_den = _carry(d1, d2, a, a_den, b, b_den, c, c_den)
-    return AffineData(a, 2 * a_den, b, 2 * b_den, c1, c1_den, t1, t2)
+    return AffineData(*_consume(*x.coefficients, x.v1, x.v2))
 
 
 def _doublings_to_dominate(p: int, q: int) -> int:
@@ -246,20 +233,23 @@ def measure(x: AffineData) -> int:
 def normalize(x: AffineData) -> AffineData:
     """Divide each coefficient pair by its gcd; value and decisions unchanged.
 
-    Without this, coefficient bit-length grows linearly with output depth.
+    Without this, coefficient bit-length grows quadratically with output
+    depth.
     """
-    a, a_den, b, b_den, c, c_den = x.coefficients
-    ga = gcd(a, a_den) or 1
-    gb = gcd(b, b_den) or 1
-    gc = gcd(c, c_den) or 1
-    return x.with_coefficients(a // ga, a_den // ga, b // gb, b_den // gb, c // gc, c_den // gc)
+    return x.with_coefficients(*_reduce(*x.coefficients))
 
 
-_PRODUCERS = {
-    Decision.EMIT_R: (Digit.R, prod_R),
-    Decision.EMIT_L: (Digit.L, prod_L),
-    Decision.EMIT_C: (Digit.C, prod_C),
-}
+def _step(state, normalize_steps: bool):
+    """One engine step on a state tuple: (emitted digit or None, next tuple)."""
+    a, a_den, b, b_den, c, c_den, v1, v2 = state
+    digit = _choose(a, a_den, b, b_den, c, c_den)
+    if digit is None:
+        a, a_den, b, b_den, c, c_den, v1, v2 = _consume(*state)
+    else:
+        a, a_den, b, b_den, c, c_den = _emit(digit, a, a_den, b, b_den, c, c_den)
+    if normalize_steps:
+        a, a_den, b, b_den, c, c_den = _reduce(a, a_den, b, b_den, c, c_den)
+    return digit, (a, a_den, b, b_den, c, c_den, v1, v2)
 
 
 def engine_states(x: AffineData, normalize_steps: bool = True) -> Iterator[Tuple[Optional[Digit], AffineData]]:
@@ -268,27 +258,18 @@ def engine_states(x: AffineData, normalize_steps: bool = True) -> Iterator[Tuple
     Consumption steps yield None. Infinite; mainly for tests and
     diagnostics that need to watch coefficients evolve.
     """
-    if normalize_steps:
-        x = normalize(x)
+    state = (*x.coefficients, x.v1, x.v2)
     while True:
-        decision = decide(x)
-        if decision is Decision.CONSUME:
-            emitted = None
-            x = consume(x)
-        else:
-            emitted, producer = _PRODUCERS[decision]
-            x = producer(x)
-        if normalize_steps:
-            x = normalize(x)
-        yield emitted, x
+        digit, state = _step(state, normalize_steps)
+        yield digit, AffineData(*state)
 
 
 def production_step(x: AffineData, normalize_steps: bool = True) -> Tuple[Digit, AffineData]:
     """Run consumptions until a digit comes out; at most measure(x) of them."""
-    for emitted, state in engine_states(x, normalize_steps):
-        if emitted is not None:
-            return emitted, state
-    raise AssertionError("unreachable: engine_states is infinite")
+    digit, state = None, (*x.coefficients, x.v1, x.v2)
+    while digit is None:
+        digit, state = _step(state, normalize_steps)
+    return digit, AffineData(*state)
 
 
 def produce_stream(x: AffineData, normalize_steps: bool = True) -> Stream:
@@ -300,5 +281,4 @@ def produce_stream(x: AffineData, normalize_steps: bool = True) -> Stream:
     meaningless otherwise. Callers wanting the checked guarantee go
     through the real-number layer.
     """
-    seed = normalize(x) if normalize_steps else x
-    return unfold(lambda state: production_step(state, normalize_steps), seed)
+    return unfold(lambda state: production_step(state, normalize_steps), x)

@@ -8,61 +8,6 @@ reduced), and ``math.gcd`` follows the gcd(0, 0) = 0 convention.
 from fractions import Fraction
 from math import gcd
 
-__all__ = [
-    "Rational",
-    "gcd",
-    "make_rational",
-    "rat_add",
-    "rat_sub",
-    "rat_mul",
-    "rat_cmp",
-    "parse_rational",
-    "format_rational",
-]
+__all__ = ["Rational", "gcd"]
 
 Rational = Fraction
-
-
-def make_rational(n: int, d: int) -> Fraction:
-    """Reduced fraction n/d with positive denominator.
-
-    Raises ZeroDivisionError when d == 0.
-    """
-    return Fraction(n, d)
-
-
-def rat_add(x: Fraction, y: Fraction) -> Fraction:
-    return x + y
-
-
-def rat_sub(x: Fraction, y: Fraction) -> Fraction:
-    return x - y
-
-
-def rat_mul(x: Fraction, y: Fraction) -> Fraction:
-    return x * y
-
-
-def rat_cmp(x: Fraction, y: Fraction) -> int:
-    """-1, 0 or 1 as x is less than, equal to, or greater than y."""
-    if x < y:
-        return -1
-    if x > y:
-        return 1
-    return 0
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse "p" or "p/q" (q != 0). Raises ValueError on malformed input."""
-    s = text.strip()
-    if "/" in s:
-        num_text, _, den_text = s.partition("/")
-        num = int(num_text.strip())
-        den = int(den_text.strip())
-        return Fraction(num, den)
-    return Fraction(int(s))
-
-
-def format_rational(r: Fraction) -> str:
-    """Render as "p/q", or "p" when the denominator is 1."""
-    return str(r)

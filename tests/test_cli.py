@@ -150,6 +150,12 @@ def test_main_in_process_exit_codes():
     assert main(["fib", "--count", "3"]) == 0
 
 
+def test_main_reports_deep_nesting_as_exit_2(capsys):
+    text = "avg(" * 1000 + "1/3" + ", 1/6)" * 1000
+    assert main(["eval", text]) == 2
+    assert "error: expression nested too deeply" in capsys.readouterr().err
+
+
 def test_cli_subprocess_eval():
     done = run_cli("eval", "1/3", "--digits", "6")
     assert done.returncode == 0

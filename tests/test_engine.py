@@ -22,13 +22,11 @@ from lrcreal.engine import (
     engine_states,
     measure,
     normalize,
-    positive_coefficients,
     prod_C,
     prod_L,
     prod_R,
     produce_stream,
     production_step,
-    state_bounds,
     state_value,
 )
 from lrcreal.errors import DomainError
@@ -39,6 +37,18 @@ L = constant(Digit.L)
 
 def coeff_state(a, a_den, b, b_den, c, c_den, v1=None, v2=None):
     return AffineData(a, a_den, b, b_den, c, c_den, v1 or L, v2 or L)
+
+
+def positive_coefficients(x):
+    a, a_den, b, b_den, c, c_den = x.coefficients
+    return a >= 0 and b >= 0 and c >= 0 and a_den > 0 and b_den > 0 and c_den > 0
+
+
+def state_bounds(x):
+    """Range of the state value over all inputs p, q in [0, 1]."""
+    lo = Fraction(x.c, x.c_den)
+    hi = Fraction(x.a, x.a_den) + Fraction(x.b, x.b_den) + lo
+    return lo, hi
 
 
 def test_state_value_examples():
@@ -69,8 +79,8 @@ def test_invalid_states_are_rejected():
 
 
 def test_prod_examples():
-    assert prod_R(coeff_state(1, 2, 1, 2, 3, 4)).coefficients == (2, 2, 2, 2, 2, 4)
-    assert prod_L(coeff_state(0, 1, 0, 1, 1, 4)).coefficients == (0, 1, 0, 1, 2, 4)
+    assert prod_R(coeff_state(1, 2, 1, 2, 3, 4)).coefficients == (2, 2, 2, 2, 4, 8)
+    assert prod_L(coeff_state(0, 1, 0, 1, 1, 4)).coefficients == (0, 1, 0, 1, 4, 8)
     assert prod_C(coeff_state(1, 4, 0, 1, 1, 3)).coefficients == (2, 4, 0, 1, 1, 6)
 
 
@@ -83,7 +93,7 @@ def test_prod_preconditions():
 
 def test_consume_examples():
     ll = AffineData(1, 1, 1, 1, 0, 1, constant(Digit.L), constant(Digit.L))
-    assert consume(ll).coefficients == (1, 2, 1, 2, 0, 1)
+    assert consume(ll).coefficients == (1, 2, 1, 2, 0, 4)
 
     rc = AffineData(1, 1, 0, 1, 0, 1, constant(Digit.R), constant(Digit.C))
     out = consume(rc)
@@ -92,7 +102,7 @@ def test_consume_examples():
 
     lr = AffineData(0, 1, 1, 1, 0, 1, constant(Digit.L), constant(Digit.R))
     out = consume(lr)
-    assert (out.c, out.c_den) == (1, 2)
+    assert (out.c, out.c_den) == (2, 4)
 
 
 def test_consume_advances_both_inputs():
