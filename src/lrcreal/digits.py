@@ -11,7 +11,7 @@ makes arithmetic on these streams computable.
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, List
+from typing import Iterable, List, Tuple
 
 from .streams import Stream, take
 
@@ -78,6 +78,16 @@ class Interval:
 
 UNIT = Interval(Fraction(0), Fraction(1))
 
+#: Quarter-steps a digit adds to the left end of its sub-interval: digit
+#: d selects [k/4, k/4 + 1/2] of [0, 1]. The engine's emission and
+#: consumption formulas and the interval numerators all read this table.
+_WEIGHT = {Digit.L: 0, Digit.C: 1, Digit.R: 2}
+
+_TEXT = {d: d.value for d in Digit}
+#: Digit letter to the high and the low bit of its weight, as "0"/"1".
+_HIGH_BIT = str.maketrans({d.value: str(k >> 1) for d, k in _WEIGHT.items()})
+_LOW_BIT = str.maketrans({d.value: str(k & 1) for d, k in _WEIGHT.items()})
+
 
 def refine(iv: Interval, d: Digit) -> Interval:
     """The sub-interval of ``iv`` selected by ``d``; exactly half as wide."""
@@ -90,16 +100,34 @@ def refine(iv: Interval, d: Digit) -> Interval:
     return Interval(lo + quarter, lo + 3 * quarter)
 
 
-def prefix_interval(ds: Iterable[Digit]) -> Interval:
-    """Fold ``refine`` over the digits, starting from [0, 1].
+def _left_end(ds: Iterable[Digit]) -> Tuple[int, int]:
+    """``(m, n)`` such that the n digits ``ds`` pin [m, m + 2] / 2**(n + 1).
 
-    The leftmost digit refines first; an empty prefix denotes [0, 1]
-    itself, and a prefix of length n has width exactly 2**-n.
+    Refining [m, m + 2] / 2**(n + 1) by digit d gives
+    [2m + k(d), 2m + k(d) + 2] / 2**(n + 2), so m starts at 0 (the empty
+    prefix, [0, 1]) and each digit maps m to 2m + k(d). Unrolled, m is
+    the sum of k(d_i) * 2**(n - i); splitting each weight into its two
+    bits makes that 2 * high + low for two n-bit binary numerals, which
+    ``int`` parses in time linear in n.
     """
-    iv = UNIT
-    for d in ds:
-        iv = refine(iv, d)
-    return iv
+    text = digits_to_str(ds)
+    if not text:
+        return 0, 0
+    return 2 * int(text.translate(_HIGH_BIT), 2) + int(text.translate(_LOW_BIT), 2), len(text)
+
+
+def prefix_interval(ds: Iterable[Digit]) -> Interval:
+    """The interval the digits pin, read left to right from [0, 1].
+
+    Equal to folding ``refine`` over the digits starting from ``UNIT``:
+    an empty prefix denotes [0, 1] itself, and a prefix of n digits is
+    the dyadic interval [m, m + 2] / 2**(n + 1), of width exactly 2**-n.
+    m is found with integer work linear in n, and the endpoints become
+    ``Fraction`` only on return.
+    """
+    m, n = _left_end(ds)
+    den = 2 ** (n + 1)
+    return Interval(Fraction(m, den), Fraction(m + 2, den))
 
 
 def emit_value(d: Digit, r: Fraction) -> Fraction:
@@ -143,7 +171,7 @@ def represents_to_depth(s: DigitStream, r: Fraction, n: int) -> bool:
 
 
 def digits_to_str(ds: Iterable[Digit]) -> str:
-    return "".join(d.value for d in ds)
+    return "".join(map(_TEXT.__getitem__, ds))
 
 
 def str_to_digits(text: str) -> List[Digit]:

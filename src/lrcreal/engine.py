@@ -42,7 +42,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterator, Optional, Tuple
 
-from .digits import Digit
+from .digits import _WEIGHT, Digit
 from .errors import DomainError
 from .streams import Stream, unfold
 
@@ -104,10 +104,6 @@ class Decision(Enum):
     EMIT_L = "L"
     EMIT_C = "C"
     CONSUME = "consume"
-
-
-#: Quarter-steps a digit adds to the left end of its sub-interval.
-_WEIGHT = {Digit.L: 0, Digit.C: 1, Digit.R: 2}
 
 
 def state_value(x: AffineData, p: Fraction, q: Fraction) -> Fraction:

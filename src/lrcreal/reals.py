@@ -6,12 +6,14 @@ guaranteed to contain the value. Nothing here can decide equality of two
 reals; ``compare`` bounds its search and says so when it gives up.
 """
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .digits import Digit, Interval, digits_to_str, prefix_interval, refine
+from .digits import _WEIGHT, Digit, Interval, _left_end, digits_to_str, prefix_interval
+# No query here refines Fraction intervals any more, but the benchmark's
+# tracer (bench/spans.py) wraps the ``reals.refine`` binding, so it stays.
+from .digits import refine  # noqa: F401
 from .engine import AffineData, produce_stream
 from .errors import DomainError
 from .streams import Stream, take, unfold
@@ -56,13 +58,20 @@ class ExactReal:
         quarter of the requested precision, then rounds half-up. Not
         correctly rounded (that is undecidable at representation
         boundaries); the error bound is the contract.
+
+        After ``depth`` digits the interval is [m, m + 2] / 2**(depth + 1),
+        so the midpoint is (m + 1) / 2**(depth + 1) and rounding it
+        half-up to ``places`` decimals is one integer shift:
+        floor(mid * 10**places + 1/2) ==
+        ((m + 1) * 10**places + 2**depth) >> (depth + 1).
+        No ``Fraction`` is built.
         """
         if places < 1:
             raise ValueError("to_decimal: places must be >= 1")
         scale = 10 ** places
         depth = scale.bit_length() + 2
-        mid = self.to_interval(depth).midpoint
-        units = math.floor(mid * scale + Fraction(1, 2))
+        m, _ = _left_end(take(self.digits, depth))
+        units = ((m + 1) * scale + (1 << depth)) >> (depth + 1)
         return "%d.%0*d" % (units // scale, places, units % scale)
 
     def __repr__(self):
@@ -153,18 +162,24 @@ def compare(x: ExactReal, y: ExactReal, max_depth: int) -> CompareResult:
     Returns LESS or GREATER at the first depth <= max_depth where the
     intervals are disjoint, else Indistinguishable(2**-max_depth). Never
     claims equality; equality of exact reals is undecidable.
+
+    At depth n the intervals are [m_x, m_x + 2] / 2**(n + 1) and
+    [m_y, m_y + 2] / 2**(n + 1), so only the gap g = m_y - m_x matters:
+    x's interval lies wholly below y's when g > 2 and wholly above when
+    g < -2. Each digit pair maps g to 2g + k(dy) - k(dx). While the
+    intervals overlap |g| <= 2, so every step is constant work on a small
+    int and the whole comparison is linear in the depth reached.
     """
     if max_depth < 0:
         raise ValueError("compare: max_depth must be >= 0")
-    ix, iy = x.to_interval(0), y.to_interval(0)
+    gap = 0
     sx, sy = x.digits, y.digits
     for _ in range(max_depth):
         dx, sx = sx.force()
         dy, sy = sy.force()
-        ix = refine(ix, dx)
-        iy = refine(iy, dy)
-        if ix.hi < iy.lo:
+        gap = 2 * gap + _WEIGHT[dy] - _WEIGHT[dx]
+        if gap > 2:
             return LESS
-        if iy.hi < ix.lo:
+        if gap < -2:
             return GREATER
     return Indistinguishable(Fraction(1, 2 ** max_depth))

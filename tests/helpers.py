@@ -4,10 +4,10 @@ and random engine states with exactly known values."""
 import random
 from fractions import Fraction
 
-from lrcreal.digits import Digit, emit_value
+from lrcreal.digits import UNIT, Digit, Interval, emit_value, refine
 from lrcreal.engine import AffineData
 from lrcreal.reals import from_rational
-from lrcreal.streams import Stream, cons, unfold
+from lrcreal.streams import Stream, cons, constant, unfold
 
 DIGITS = (Digit.L, Digit.R, Digit.C)
 
@@ -35,6 +35,22 @@ def prefixed_stream(prefix, tail_value: Fraction):
         stream = cons(d, stream)
         value = emit_value(d, value)
     return stream, value
+
+
+def refine_fold(ds) -> Interval:
+    """The spec-level prefix interval: ``refine`` folded from ``UNIT``."""
+    iv = UNIT
+    for d in ds:
+        iv = refine(iv, d)
+    return iv
+
+
+def digits_then_constant(ds, tail: Digit) -> Stream:
+    """Stream of the digits ``ds`` followed by ``tail`` forever."""
+    stream = constant(tail)
+    for d in reversed(ds):
+        stream = cons(d, stream)
+    return stream
 
 
 def cycled_digits(digit_list) -> Stream:

@@ -150,6 +150,15 @@ def test_main_in_process_exit_codes():
     assert main(["fib", "--count", "3"]) == 0
 
 
+def test_main_eval_interval_output(capsys):
+    # pinned from the Fraction refine fold; endpoints print in lowest terms
+    assert main(["eval", "avg(1/3, 1/6)", "--format", "interval"]) == 0
+    assert capsys.readouterr().out == "[2147483647/8589934592, 2147483649/8589934592]\n"
+    expr = "affine(1/3, 1/4, 1/8; 1/5, avg(1/3, 2/7))"
+    assert main(["eval", expr, "--format", "interval", "--digits", "5"]) == 0
+    assert capsys.readouterr().out == "[1/4, 9/32]\n"
+
+
 def test_main_reports_deep_nesting_as_exit_2(capsys):
     text = "avg(" * 1000 + "1/3" + ", 1/6)" * 1000
     assert main(["eval", text]) == 2

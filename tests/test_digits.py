@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import refine_fold
 from lrcreal.digits import (
     Digit,
     Interval,
@@ -22,6 +23,10 @@ from lrcreal.reals import from_rational
 from lrcreal.streams import constant
 
 digit_lists = st.lists(st.sampled_from(list(Digit)), max_size=64)
+#: Lengths drawn uniformly up to 300, so deep prefixes are common.
+long_digit_lists = st.integers(0, 300).flatmap(
+    lambda n: st.lists(st.sampled_from(list(Digit)), min_size=n, max_size=n)
+)
 
 
 def test_refine_examples():
@@ -38,6 +43,12 @@ def test_prefix_interval_examples():
     assert prefix_interval(str_to_digits("LCR")) == quarter
     assert prefix_interval(str_to_digits("LRL")) == quarter
     assert prefix_interval(str_to_digits("CLL")) == quarter
+
+
+@given(long_digit_lists)
+def test_prefix_interval_matches_refine_fold(ds):
+    assert prefix_interval(ds) == refine_fold(ds)
+    assert prefix_interval(iter(ds)) == refine_fold(ds)
 
 
 @given(digit_lists)

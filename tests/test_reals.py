@@ -1,10 +1,13 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from helpers import rand_fraction
-from lrcreal.digits import Digit
+from helpers import digits_then_constant, rand_fraction, refine_fold
+from lrcreal.digits import UNIT, Digit, refine
 from lrcreal.errors import DomainError
 from lrcreal.reals import (
     GREATER,
@@ -66,6 +69,20 @@ def test_to_interval_width_law():
             assert x.to_interval(depth).width == Fraction(1, 2 ** depth)
 
 
+def test_to_interval_deep_matches_digit_formula():
+    # n digits pin [m, m + 2] / 2**(n + 1) with m = 2 * (R bits) + (C bits)
+    third = from_rational(Fraction(1, 3))
+    text = third.digit_string(8000)
+    m = 2 * int(text.translate(str.maketrans("LRC", "010")), 2) + int(
+        text.translate(str.maketrans("LRC", "001")), 2
+    )
+    den = 2 ** 8001
+    iv = third.to_interval(8000)
+    assert (iv.lo, iv.hi) == (Fraction(m, den), Fraction(m + 2, den))
+    # 8000 digits of LRLR... put the left end at the binary 0.0101...01
+    assert iv.lo == Fraction((4 ** 4000 - 1) // 3, 4 ** 4000)
+
+
 def test_to_decimal_examples():
     assert from_rational(Fraction(1, 2)).to_decimal(3) == "0.500"
     assert from_rational(Fraction(1, 3)).to_decimal(4) == "0.3333"
@@ -83,6 +100,21 @@ def test_to_decimal_accuracy():
         for places in range(1, 13):
             printed = Fraction(x.to_decimal(places))
             assert abs(printed - r) <= Fraction(1, 10 ** places)
+
+
+digits = st.sampled_from(list(Digit))
+#: Lengths drawn uniformly up to 300, so deep prefixes are common.
+digit_lists = st.integers(0, 300).flatmap(lambda n: st.lists(digits, min_size=n, max_size=n))
+
+
+@given(digit_lists, digits, st.integers(1, 100))
+def test_to_decimal_rounds_fraction_midpoint(ds, tail, places):
+    x = ExactReal(digits_then_constant(ds, tail))
+    scale = 10 ** places
+    depth = scale.bit_length() + 2
+    mid = refine_fold(take(x.digits, depth)).midpoint
+    units = math.floor(mid * scale + Fraction(1, 2))
+    assert x.to_decimal(places) == "%d.%0*d" % (units // scale, places, units % scale)
 
 
 def test_average_examples():
@@ -143,6 +175,54 @@ def test_compare():
     lr = ExactReal(cons(Digit.L, constant(Digit.R)))
     rl = ExactReal(cons(Digit.R, constant(Digit.L)))
     assert compare(lr, rl, 20) == Indistinguishable(Fraction(1, 2 ** 20))
+
+
+def test_compare_spellings_of_half_deep():
+    spellings = [
+        ExactReal(cons(Digit.L, constant(Digit.R))),
+        ExactReal(cons(Digit.R, constant(Digit.L))),
+        ExactReal(constant(Digit.C)),
+    ]
+    for x in spellings:
+        for y in spellings:
+            assert compare(x, y, 2000) == Indistinguishable(Fraction(1, 2 ** 2000))
+
+
+def reference_compare(x, y, max_depth):
+    """``compare`` as its spec states it, on ``Fraction`` intervals.
+
+    Returns the verdict and the depth it was reached at.
+    """
+    ix = iy = UNIT
+    sx, sy = x.digits, y.digits
+    for depth in range(1, max_depth + 1):
+        dx, sx = sx.force()
+        dy, sy = sy.force()
+        ix, iy = refine(ix, dx), refine(iy, dy)
+        if ix.hi < iy.lo:
+            return LESS, depth
+        if iy.hi < ix.lo:
+            return GREATER, depth
+    return Indistinguishable(Fraction(1, 2 ** max_depth)), max_depth
+
+
+@given(
+    digit_lists,
+    st.lists(digits, max_size=4), digits,
+    st.lists(digits, max_size=4), digits,
+    st.integers(0, 320),
+)
+def test_compare_matches_fraction_reference(shared, xs, x_tail, ys, y_tail, max_depth):
+    # A shared prefix and short, often redundant, endings (LRRR..., CCC...)
+    # keep the intervals overlapping deep into the search.
+    x = ExactReal(digits_then_constant(shared + xs, x_tail))
+    y = ExactReal(digits_then_constant(shared + ys, y_tail))
+    verdict, depth = reference_compare(x, y, max_depth)
+    assert compare(x, y, max_depth) == verdict
+    if verdict in (LESS, GREATER):
+        # separated at exactly that depth, not one digit earlier or later
+        assert compare(x, y, depth) == verdict
+        assert compare(x, y, depth - 1) == Indistinguishable(Fraction(1, 2 ** (depth - 1)))
 
 
 def test_compare_antisymmetry():
