@@ -7,7 +7,6 @@ can re-check every step of every computation.
 
 from .digits import (
     Digit,
-    DigitStream,
     Interval,
     UNIT,
     bit_to_digit,
@@ -33,7 +32,6 @@ from .engine import (
     state_value,
 )
 from .errors import DomainError, ExprParseError
-from .numeric import Rational, gcd
 from .reals import (
     GREATER,
     LESS,

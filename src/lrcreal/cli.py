@@ -67,7 +67,6 @@ class Affine:
     cc: Fraction
     left: "Expr"
     right: "Expr"
-    checked: bool = True
 
 
 Expr = Union[RatLit, Avg, Add, Affine]
@@ -220,7 +219,6 @@ def build_real(e: Expr, check_depth: int) -> ExactReal:
             e.ca, e.cb, e.cc,
             build_real(e.left, check_depth),
             build_real(e.right, check_depth),
-            checked=e.checked,
         )
     raise TypeError("not an Expr: %r" % (e,))
 

@@ -9,7 +9,7 @@ makes arithmetic on these streams computable.
 """
 
 from dataclasses import dataclass
-from enum import Enum
+from enum import IntEnum
 from fractions import Fraction
 from typing import Iterable, List, Tuple
 
@@ -18,7 +18,6 @@ from .streams import Stream, take
 __all__ = [
     "Digit",
     "Interval",
-    "DigitStream",
     "UNIT",
     "refine",
     "prefix_interval",
@@ -31,17 +30,19 @@ __all__ = [
 ]
 
 
-class Digit(Enum):
-    L = "L"
-    R = "R"
-    C = "C"
+class Digit(IntEnum):
+    """A digit; its value is its weight k: it selects [k/4, k/4 + 1/2] of [0, 1].
+
+    The engine's formulas and the interval numerators use the digit as
+    this integer. Its text form is the letter.
+    """
+
+    L = 0
+    C = 1
+    R = 2
 
     def __str__(self):
-        return self.value
-
-
-#: A stream of digits denoting a real number in [0, 1].
-DigitStream = Stream
+        return self.name
 
 
 @dataclass(frozen=True)
@@ -78,15 +79,9 @@ class Interval:
 
 UNIT = Interval(Fraction(0), Fraction(1))
 
-#: Quarter-steps a digit adds to the left end of its sub-interval: digit
-#: d selects [k/4, k/4 + 1/2] of [0, 1]. The engine's emission and
-#: consumption formulas and the interval numerators all read this table.
-_WEIGHT = {Digit.L: 0, Digit.C: 1, Digit.R: 2}
-
-_TEXT = {d: d.value for d in Digit}
 #: Digit letter to the high and the low bit of its weight, as "0"/"1".
-_HIGH_BIT = str.maketrans({d.value: str(k >> 1) for d, k in _WEIGHT.items()})
-_LOW_BIT = str.maketrans({d.value: str(k & 1) for d, k in _WEIGHT.items()})
+_HIGH_BIT = str.maketrans({d.name: str(d >> 1) for d in Digit})
+_LOW_BIT = str.maketrans({d.name: str(d & 1) for d in Digit})
 
 
 def refine(iv: Interval, d: Digit) -> Interval:
@@ -159,7 +154,7 @@ def bit_to_digit(b: bool) -> Digit:
     return Digit.R if b else Digit.L
 
 
-def represents_to_depth(s: DigitStream, r: Fraction, n: int) -> bool:
+def represents_to_depth(s: Stream, r: Fraction, n: int) -> bool:
     """Does ``r`` lie in the depth-``n`` prefix interval of ``s``?
 
     Closed-interval membership: endpoint hits count. A finite check only;
@@ -171,9 +166,12 @@ def represents_to_depth(s: DigitStream, r: Fraction, n: int) -> bool:
 
 
 def digits_to_str(ds: Iterable[Digit]) -> str:
-    return "".join(map(_TEXT.__getitem__, ds))
+    return "".join(map("LCR".__getitem__, ds))
 
 
 def str_to_digits(text: str) -> List[Digit]:
     """Parse a digit string like "LCR". Raises ValueError on other letters."""
-    return [Digit(ch) for ch in text]
+    try:
+        return [Digit[ch] for ch in text]
+    except KeyError as err:
+        raise ValueError("not a digit letter: %s" % err) from None

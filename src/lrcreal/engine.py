@@ -30,19 +30,23 @@ reach q >= 8p) is positive, and it strictly drops on every consumption.
 Consumption runs are therefore finite and the output stream productive,
 for any positive-coefficient state.
 
-The step loop works on plain tuples ``(a, a', b, b', c, c', v1, v2)``;
-``AffineData`` and ``Decision`` are the checked view of the same helpers
-that callers and tests use. All tests and rewrites are exact integer
-arithmetic; nothing here touches floating point.
+The step loop's state is ``AffineData`` itself, a named tuple
+``(a, a', b, b', c, c', v1, v2)`` whose constructor checks the signs, so
+every state the loop reaches has passed that check. A digit is its own
+weight (``Digit`` is an ``IntEnum``). ``decide``, ``prod_*``, ``consume``
+and ``normalize`` apply one of the loop's helpers to a state, for callers
+and tests that check the rewrites one at a time. All tests and rewrites
+are exact integer arithmetic; nothing here touches floating point.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
+from functools import partial
 from math import gcd
 from typing import Iterator, Optional, Tuple
 
-from .digits import _WEIGHT, Digit
+from .digits import Digit
 from .errors import DomainError
 from .streams import Stream, unfold
 
@@ -63,32 +67,30 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AffineData:
+class AffineData(namedtuple("AffineData", "a a_den b b_den c c_den v1 v2")):
     """Engine state: coefficients of (a/a_den)*v1 + (b/b_den)*v2 + c/c_den.
 
     Construction enforces the sign discipline the step functions rely on:
     numerators non-negative, denominators strictly positive.
     """
 
-    a: int
-    a_den: int
-    b: int
-    b_den: int
-    c: int
-    c_den: int
-    v1: Stream
-    v2: Stream
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.a >= 0 and self.b >= 0 and self.c >= 0):
-            raise DomainError("coefficient numerators must be non-negative: %s" % (self.coefficients,))
-        if not (self.a_den > 0 and self.b_den > 0 and self.c_den > 0):
-            raise DomainError("coefficient denominators must be positive: %s" % (self.coefficients,))
+    def __new__(cls, a: int, a_den: int, b: int, b_den: int, c: int, c_den: int, v1: Stream, v2: Stream):
+        if not (a >= 0 and b >= 0 and c >= 0):
+            raise DomainError("coefficient numerators must be non-negative: %s" % ((a, a_den, b, b_den, c, c_den),))
+        if not (a_den > 0 and b_den > 0 and c_den > 0):
+            raise DomainError("coefficient denominators must be positive: %s" % ((a, a_den, b, b_den, c, c_den),))
+        return tuple.__new__(cls, (a, a_den, b, b_den, c, c_den, v1, v2))
+
+    @classmethod
+    def _make(cls, fields) -> "AffineData":
+        """Build from an iterable through the checks above; ``_replace`` uses this too."""
+        return cls(*fields)
 
     @property
     def coefficients(self) -> Tuple[int, int, int, int, int, int]:
-        return (self.a, self.a_den, self.b, self.b_den, self.c, self.c_den)
+        return self[:6]
 
     def with_coefficients(self, a, a_den, b, b_den, c, c_den) -> "AffineData":
         return AffineData(a, a_den, b, b_den, c, c_den, self.v1, self.v2)
@@ -136,7 +138,7 @@ def _choose(a, a_den, b, b_den, c, c_den) -> Optional[Digit]:
 
 def _emit(digit, a, a_den, b, b_den, c, c_den):
     """Rescale after emitting ``digit`` of weight k: V' = 2V - k/2."""
-    return 2 * a, a_den, 2 * b, b_den, 4 * c - _WEIGHT[digit] * c_den, 2 * c_den
+    return 2 * a, a_den, 2 * b, b_den, 4 * c - digit * c_den, 2 * c_den
 
 
 def _carry(d1: Digit, d2: Digit, a, a_den, b, b_den, c, c_den):
@@ -148,7 +150,7 @@ def _carry(d1: Digit, d2: Digit, a, a_den, b, b_den, c, c_den):
     ``4c*a'b' + k1*a*b'c' + k2*b*a'c'``.
     """
     return (
-        4 * c * a_den * b_den + _WEIGHT[d1] * a * b_den * c_den + _WEIGHT[d2] * b * a_den * c_den,
+        4 * c * a_den * b_den + d1 * a * b_den * c_den + d2 * b * a_den * c_den,
         4 * a_den * b_den * c_den,
     )
 
@@ -172,7 +174,7 @@ def _reduce(a, a_den, b, b_den, c, c_den):
 def decide(x: AffineData) -> Decision:
     """Which digit the coefficients justify emitting, if any (see ``_choose``)."""
     digit = _choose(*x.coefficients)
-    return Decision.CONSUME if digit is None else Decision(digit.value)
+    return Decision.CONSUME if digit is None else Decision(str(digit))
 
 
 def prod_R(x: AffineData) -> AffineData:
@@ -203,7 +205,7 @@ def consume(x: AffineData) -> AffineData:
         state_value(consume(x), p', q')
             == state_value(x, emit_value(d1, p'), emit_value(d2, q'))
     """
-    return AffineData(*_consume(*x.coefficients, x.v1, x.v2))
+    return AffineData(*_consume(*x))
 
 
 def _doublings_to_dominate(p: int, q: int) -> int:
@@ -235,17 +237,17 @@ def normalize(x: AffineData) -> AffineData:
     return x.with_coefficients(*_reduce(*x.coefficients))
 
 
-def _step(state, normalize_steps: bool):
-    """One engine step on a state tuple: (emitted digit or None, next tuple)."""
-    a, a_den, b, b_den, c, c_den, v1, v2 = state
+def _step(x: AffineData, normalize_steps: bool) -> Tuple[Optional[Digit], AffineData]:
+    """One engine step: (emitted digit or None, next state)."""
+    a, a_den, b, b_den, c, c_den, v1, v2 = x
     digit = _choose(a, a_den, b, b_den, c, c_den)
     if digit is None:
-        a, a_den, b, b_den, c, c_den, v1, v2 = _consume(*state)
+        a, a_den, b, b_den, c, c_den, v1, v2 = _consume(*x)
     else:
         a, a_den, b, b_den, c, c_den = _emit(digit, a, a_den, b, b_den, c, c_den)
     if normalize_steps:
         a, a_den, b, b_den, c, c_den = _reduce(a, a_den, b, b_den, c, c_den)
-    return digit, (a, a_den, b, b_den, c, c_den, v1, v2)
+    return digit, AffineData(a, a_den, b, b_den, c, c_den, v1, v2)
 
 
 def engine_states(x: AffineData, normalize_steps: bool = True) -> Iterator[Tuple[Optional[Digit], AffineData]]:
@@ -254,18 +256,17 @@ def engine_states(x: AffineData, normalize_steps: bool = True) -> Iterator[Tuple
     Consumption steps yield None. Infinite; mainly for tests and
     diagnostics that need to watch coefficients evolve.
     """
-    state = (*x.coefficients, x.v1, x.v2)
     while True:
-        digit, state = _step(state, normalize_steps)
-        yield digit, AffineData(*state)
+        digit, x = _step(x, normalize_steps)
+        yield digit, x
 
 
 def production_step(x: AffineData, normalize_steps: bool = True) -> Tuple[Digit, AffineData]:
     """Run consumptions until a digit comes out; at most measure(x) of them."""
-    digit, state = None, (*x.coefficients, x.v1, x.v2)
+    digit = None
     while digit is None:
-        digit, state = _step(state, normalize_steps)
-    return digit, AffineData(*state)
+        digit, x = _step(x, normalize_steps)
+    return digit, x
 
 
 def produce_stream(x: AffineData, normalize_steps: bool = True) -> Stream:
@@ -277,4 +278,4 @@ def produce_stream(x: AffineData, normalize_steps: bool = True) -> Stream:
     meaningless otherwise. Callers wanting the checked guarantee go
     through the real-number layer.
     """
-    return unfold(lambda state: production_step(state, normalize_steps), x)
+    return unfold(partial(production_step, normalize_steps=normalize_steps), x)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .digits import _WEIGHT, Digit, Interval, _left_end, digits_to_str, prefix_interval
+from .digits import Digit, Interval, _left_end, digits_to_str, prefix_interval
 # No query here refines Fraction intervals any more, but the benchmark's
 # tracer (bench/spans.py) wraps the ``reals.refine`` binding, so it stays.
 from .digits import refine  # noqa: F401
@@ -72,10 +72,29 @@ class ExactReal:
         depth = scale.bit_length() + 2
         m, _ = _left_end(take(self.digits, depth))
         units = ((m + 1) * scale + (1 << depth)) >> (depth + 1)
-        return "%d.%0*d" % (units // scale, places, units % scale)
+        return "%d.%s" % (units // scale, _zero_padded(units % scale, places))
 
     def __repr__(self):
         return "ExactReal(%s...)" % self.digit_string(8)
+
+
+#: Decimal digits per ``%d`` in ``_zero_padded``: below the smallest limit
+#: ``sys.set_int_max_str_digits`` accepts (640), so every setting renders.
+_BLOCK = 600
+
+
+def _zero_padded(n: int, width: int) -> str:
+    """``n`` (below 10**width) as exactly ``width`` decimal digits.
+
+    Python refuses to convert an int of more than a few thousand decimal
+    digits to text, so the low digits are split off in blocks of _BLOCK.
+    """
+    blocks = []
+    while width > _BLOCK:
+        n, low = divmod(n, 10 ** _BLOCK)
+        blocks.append("%0*d" % (_BLOCK, low))
+        width -= _BLOCK
+    return "%0*d" % (width, n) + "".join(reversed(blocks))
 
 
 def from_rational(r: Fraction) -> ExactReal:
@@ -153,10 +172,7 @@ class Indistinguishable:
     resolution: Fraction
 
 
-CompareResult = Union[str, Indistinguishable]
-
-
-def compare(x: ExactReal, y: ExactReal, max_depth: int) -> CompareResult:
+def compare(x: ExactReal, y: ExactReal, max_depth: int) -> Union[str, Indistinguishable]:
     """Order two reals by refining until their intervals separate.
 
     Returns LESS or GREATER at the first depth <= max_depth where the
@@ -177,7 +193,7 @@ def compare(x: ExactReal, y: ExactReal, max_depth: int) -> CompareResult:
     for _ in range(max_depth):
         dx, sx = sx.force()
         dy, sy = sy.force()
-        gap = 2 * gap + _WEIGHT[dy] - _WEIGHT[dx]
+        gap = 2 * gap + dy - dx
         if gap > 2:
             return LESS
         if gap < -2:

@@ -13,6 +13,7 @@ Everything here is immutable after construction and safe to share between
 threads.
 """
 
+from functools import partial
 from itertools import islice
 from typing import Callable, Iterator, List, Optional, Tuple, TypeVar
 
@@ -168,7 +169,7 @@ def unfold(step: Callable[[S], Tuple[T, S]], seed: S) -> "Stream":
     Reading element i runs ``step`` exactly i + 1 times (once per cell,
     thanks to memoization). ``step`` must be pure.
     """
-    return Stream(lambda: _unfold_cell(step, seed))
+    return Stream(partial(_unfold_cell, step, seed))
 
 
 def _unfold_cell(step, seed):

@@ -35,7 +35,6 @@ def test_parse_examples():
     assert parse_expr("affine(1/2, 1/4, 0; 1/3, 1)") == Affine(
         Fraction(1, 2), Fraction(1, 4), Fraction(0),
         RatLit(Fraction(1, 3)), RatLit(Fraction(1)),
-        checked=True,
     )
     assert parse_expr("  1 / 2 ") == RatLit(Fraction(1, 2))
 

@@ -124,8 +124,25 @@ def test_interval_properties():
     assert not iv.disjoint_from(Interval(Fraction(3, 8), Fraction(1)))
 
 
+def test_digit_value_is_its_weight():
+    # digit d selects [k/4, k/4 + 1/2] of [0, 1], and its value is k
+    for d in Digit:
+        assert prefix_interval([d]) == Interval(Fraction(d, 4), Fraction(d, 4) + Fraction(1, 2))
+
+
 def test_digit_text_forms():
     assert digits_to_str(str_to_digits("LCR")) == "LCR"
-    assert str(Digit.C) == "C"
+    for d in Digit:
+        assert str(d) == format(d) == "%s" % d == "{}".format(d) == d.name
+    assert repr(Digit.C) == "<Digit.C: 1>"
     with pytest.raises(ValueError):
         str_to_digits("LxR")
+    with pytest.raises(ValueError):
+        str_to_digits("1")
+
+
+@given(digit_lists)
+def test_text_round_trip(ds):
+    back = str_to_digits(digits_to_str(ds))
+    assert back == ds
+    assert all(type(d) is Digit for d in back)

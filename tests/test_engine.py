@@ -76,6 +76,8 @@ def test_invalid_states_are_rejected():
         coeff_state(0, 0, 0, 1, 0, 1)
     with pytest.raises(DomainError):
         coeff_state(0, 1, 0, 1, 1, -2)
+    with pytest.raises(DomainError):
+        coeff_state(0, 1, 0, 1, 0, 1)._replace(a=-1)
 
 
 def test_prod_examples():
@@ -289,7 +291,8 @@ def test_engine_states_reports_consumes_and_emits():
         rational_stream(Fraction(1, 3)), rational_stream(Fraction(1, 6)),
     )
     events = []
-    for emitted, _state in engine_states(x):
+    for emitted, state in engine_states(x):
+        assert isinstance(state, AffineData)
         events.append(emitted)
         if len(events) == 5:
             break

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import digits_then_constant, rand_fraction, refine_fold
-from lrcreal.digits import UNIT, Digit, refine
+from lrcreal.digits import UNIT, Digit, prefix_interval, refine
 from lrcreal.errors import DomainError
 from lrcreal.reals import (
     GREATER,
@@ -115,6 +115,24 @@ def test_to_decimal_rounds_fraction_midpoint(ds, tail, places):
     mid = refine_fold(take(x.digits, depth)).midpoint
     units = math.floor(mid * scale + Fraction(1, 2))
     assert x.to_decimal(places) == "%d.%0*d" % (units // scale, places, units % scale)
+
+
+def test_to_decimal_past_int_str_limit():
+    # Python refuses to turn an int of more than 4300 decimal digits into
+    # text by default; 5000 places must render anyway. The output is read
+    # back in short chunks and checked against the Fraction midpoint.
+    places = 5000
+    scale = 10 ** places
+    depth = scale.bit_length() + 2
+    for x in (from_rational(Fraction(1, 3)), ExactReal(digits_then_constant([Digit.C, Digit.R], Digit.C))):
+        mid = prefix_interval(take(x.digits, depth)).midpoint
+        units = math.floor(mid * scale + Fraction(1, 2))
+        whole, frac = x.to_decimal(places).split(".")
+        assert len(frac) == places
+        parsed = 0
+        for i in range(0, places, 1000):
+            parsed = parsed * 10 ** 1000 + int(frac[i:i + 1000])
+        assert (int(whole), parsed) == divmod(units, scale)
 
 
 def test_average_examples():
