@@ -254,6 +254,10 @@ def selftest_command(cases: int, depth: int, seed: int):
     ones that pure rational inputs (L and R only) never reach.
     Deterministic for a fixed seed.
     """
+    if cases < 0:
+        raise ValueError("cases must be >= 0")
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
     rng = random.Random(seed)
     passed = 0
     failures = []

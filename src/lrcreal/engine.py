@@ -30,13 +30,18 @@ reach q >= 8p) is positive, and it strictly drops on every consumption.
 Consumption runs are therefore finite and the output stream productive,
 for any positive-coefficient state.
 
-The step loop's state is ``AffineData`` itself, a named tuple
-``(a, a', b, b', c, c', v1, v2)`` whose constructor checks the signs, so
-every state the loop reaches has passed that check. A digit is its own
-weight (``Digit`` is an ``IntEnum``). ``decide``, ``prod_*``, ``consume``
-and ``normalize`` apply one of the loop's helpers to a state, for callers
-and tests that check the rewrites one at a time. All tests and rewrites
-are exact integer arithmetic; nothing here touches floating point.
+Engine state is ``AffineData``, a named tuple
+``(a, a', b, b', c, c', v1, v2)`` whose constructor checks the signs. A
+digit is its own weight (``Digit`` is an ``IntEnum``). ``production_step``
+is the fused loop that ``produce_stream`` runs: from one state to the
+next emitted digit, it runs the tests, the consumptions and the gcd
+reductions inline on local integers and builds one ``AffineData`` per
+digit; every state it passes through still gets the constructor's sign
+check. ``engine_states`` is the step-at-a-time reference that tests
+compare it against: it yields a checked ``AffineData`` after every step,
+built from the same helpers that ``decide``, ``prod_*``, ``consume`` and
+``normalize`` apply to a single state. All tests and rewrites are exact
+integer arithmetic; nothing here touches floating point.
 """
 
 from collections import namedtuple
@@ -237,36 +242,72 @@ def normalize(x: AffineData) -> AffineData:
     return x.with_coefficients(*_reduce(*x.coefficients))
 
 
-def _step(x: AffineData, normalize_steps: bool) -> Tuple[Optional[Digit], AffineData]:
-    """One engine step: (emitted digit or None, next state)."""
-    a, a_den, b, b_den, c, c_den, v1, v2 = x
-    digit = _choose(a, a_den, b, b_den, c, c_den)
-    if digit is None:
-        a, a_den, b, b_den, c, c_den, v1, v2 = _consume(*x)
-    else:
-        a, a_den, b, b_den, c, c_den = _emit(digit, a, a_den, b, b_den, c, c_den)
-    if normalize_steps:
-        a, a_den, b, b_den, c, c_den = _reduce(a, a_den, b, b_den, c, c_den)
-    return digit, AffineData(a, a_den, b, b_den, c, c_den, v1, v2)
-
-
 def engine_states(x: AffineData, normalize_steps: bool = True) -> Iterator[Tuple[Optional[Digit], AffineData]]:
     """Every engine step from ``x`` on: ``(emitted digit or None, state)``.
 
-    Consumption steps yield None. Infinite; mainly for tests and
-    diagnostics that need to watch coefficients evolve.
+    The step-at-a-time reference for ``production_step``: each step applies
+    the helpers behind ``decide``, ``prod_*``, ``consume`` and ``normalize``
+    and builds a checked ``AffineData``. Consumption steps yield None.
+    Infinite; for tests and diagnostics that watch coefficients evolve.
     """
     while True:
-        digit, x = _step(x, normalize_steps)
+        a, a_den, b, b_den, c, c_den, v1, v2 = x
+        digit = _choose(a, a_den, b, b_den, c, c_den)
+        if digit is None:
+            a, a_den, b, b_den, c, c_den, v1, v2 = _consume(*x)
+        else:
+            a, a_den, b, b_den, c, c_den = _emit(digit, a, a_den, b, b_den, c, c_den)
+        if normalize_steps:
+            a, a_den, b, b_den, c, c_den = _reduce(a, a_den, b, b_den, c, c_den)
+        x = AffineData(a, a_den, b, b_den, c, c_den, v1, v2)
         yield digit, x
 
 
 def production_step(x: AffineData, normalize_steps: bool = True) -> Tuple[Digit, AffineData]:
-    """Run consumptions until a digit comes out; at most measure(x) of them."""
+    """Run consumptions until a digit comes out; at most measure(x) of them.
+
+    The fused form of the ``engine_states`` loop up to its next emission:
+    the tests of ``_choose``, the consumption of ``_consume`` and the
+    reductions of ``_reduce`` run inline on local integers, and only the
+    state after the emission is built as an ``AffineData``. The states in
+    between get that constructor's sign check without being built.
+    """
+    a, a_den, b, b_den, c, c_den, v1, v2 = x
     digit = None
     while digit is None:
-        digit, x = _step(x, normalize_steps)
-    return digit, x
+        if c_den <= 2 * c:
+            digit = Digit.R
+        else:
+            weighted = a * b_den * c_den + b * a_den * c_den + a_den * b_den * c
+            den_prod = a_den * b_den * c_den
+            if 2 * weighted <= den_prod:
+                digit = Digit.L
+            elif 4 * weighted <= 3 * den_prod and c_den <= 4 * c:
+                digit = Digit.C
+        if digit is None:
+            d1, v1 = v1.force()
+            d2, v2 = v2.force()
+            c, c_den = _carry(d1, d2, a, a_den, b, b_den, c, c_den)
+            a_den *= 2
+            b_den *= 2
+            if not (a >= 0 and b >= 0 and c >= 0 and a_den > 0 and b_den > 0 and c_den > 0):
+                AffineData(a, a_den, b, b_den, c, c_den, v1, v2)  # raises DomainError
+        else:
+            a *= 2
+            b *= 2
+            c = 4 * c - digit * c_den
+            c_den *= 2
+        if normalize_steps:
+            g = gcd(a, a_den)
+            a //= g
+            a_den //= g
+            g = gcd(b, b_den)
+            b //= g
+            b_den //= g
+            g = gcd(c, c_den)
+            c //= g
+            c_den //= g
+    return digit, AffineData(a, a_den, b, b_den, c, c_den, v1, v2)
 
 
 def produce_stream(x: AffineData, normalize_steps: bool = True) -> Stream:

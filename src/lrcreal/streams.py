@@ -174,7 +174,7 @@ def unfold(step: Callable[[S], Tuple[T, S]], seed: S) -> "Stream":
 
 def _unfold_cell(step, seed):
     value, state = step(seed)
-    return value, unfold(step, state)
+    return value, Stream(partial(_unfold_cell, step, state))
 
 
 def take(s: "Stream", n: int) -> List:

@@ -18,6 +18,7 @@ from lrcreal.cli import (
     parse_expr,
     selftest_command,
 )
+from lrcreal.digits import prefix_interval, str_to_digits
 from lrcreal.errors import DomainError, ExprParseError
 
 
@@ -109,6 +110,10 @@ def test_selftest_command():
     report, code = selftest_command(0, 40, 1)
     assert report == "0/0 passed"
     assert code == 0
+    with pytest.raises(ValueError, match="cases must be >= 0"):
+        selftest_command(-5, 40, 1)
+    with pytest.raises(ValueError, match="depth must be >= 0"):
+        selftest_command(5, -1, 1)
 
 
 def test_selftest_is_deterministic():
@@ -147,6 +152,8 @@ def test_main_in_process_exit_codes():
     assert main(["eval", "3/2"]) == 2
     assert main(["eval", "add(3/4, 3/4)"]) == 2
     assert main(["fib", "--count", "3"]) == 0
+    assert main(["selftest", "--cases", "-5"]) == 2
+    assert main(["selftest", "--depth", "-1"]) == 2
 
 
 def test_main_eval_interval_output(capsys):
@@ -162,6 +169,18 @@ def test_main_reports_deep_nesting_as_exit_2(capsys):
     text = "avg(" * 1000 + "1/3" + ", 1/6)" * 1000
     assert main(["eval", text]) == 2
     assert "error: expression nested too deeply" in capsys.readouterr().err
+
+
+def test_main_evaluates_avg_chain_200_deep(capsys):
+    depth = 200
+    text = "avg(" * depth + "1/3" + ", 1/5)" * depth
+    value = Fraction(1, 3)
+    for _ in range(depth):
+        value = (value + Fraction(1, 5)) / 2
+    assert main(["eval", text, "--digits", "64"]) == 0
+    out = capsys.readouterr().out.strip()
+    assert len(out) == 64
+    assert prefix_interval(str_to_digits(out)).contains(value)
 
 
 def test_cli_subprocess_eval():

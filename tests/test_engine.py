@@ -3,9 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import lrcreal.engine as engine_module
 from helpers import (
     DIGITS,
+    cycled_digits,
     prefixed_stream,
     rand_digit_stream,
     rand_fraction,
@@ -297,3 +301,48 @@ def test_engine_states_reports_consumes_and_emits():
         if len(events) == 5:
             break
     assert events == [None, None, Digit.C, None, Digit.C]
+
+
+@st.composite
+def in_range_states(draw):
+    """A state whose value is in [0, 1] for all inputs, over periodic
+    inputs that both carry C digits."""
+    a_den = draw(st.integers(1, 60))
+    a = draw(st.integers(0, a_den))
+    b_den = draw(st.integers(1, 60))
+    b = draw(st.integers(0, b_den * (a_den - a) // a_den))
+    c_den = draw(st.integers(1, 60))
+    c = draw(st.integers(0, int((1 - Fraction(a, a_den) - Fraction(b, b_den)) * c_den)))
+    periods = st.lists(st.sampled_from(DIGITS), max_size=7)
+    v1 = cycled_digits(draw(periods) + [Digit.C])
+    v2 = cycled_digits([Digit.C] + draw(periods))
+    return AffineData(a, a_den, b, b_den, c, c_den, v1, v2)
+
+
+@given(in_range_states(), st.booleans())
+def test_production_step_matches_engine_states(x, normalize_steps):
+    emitted = ((d, state) for d, state in engine_states(x, normalize_steps) if d is not None)
+    for expected, state in itertools.islice(emitted, 40):
+        digit, x = production_step(x, normalize_steps)
+        assert digit is expected
+        assert x.coefficients == state.coefficients
+        assert x.v1 is state.v1 and x.v2 is state.v2
+
+
+def test_production_step_checks_states_inside_a_consumption_run(monkeypatch):
+    # The first consumption from c = 0 leaves c negative; the second (two R
+    # inputs) makes it positive again, and the digit after it (C) yields a
+    # valid state. Only the check on the state between them can object.
+    carry = engine_module._carry
+
+    def negative_from_zero(d1, d2, a, a_den, b, b_den, c, c_den):
+        if c == 0:
+            return -1, 4 * a_den * b_den * c_den
+        return carry(d1, d2, a, a_den, b, b_den, c, c_den)
+
+    monkeypatch.setattr(engine_module, "_carry", negative_from_zero)
+    x = AffineData(1, 1, 1, 1, 0, 1, constant(Digit.R), constant(Digit.R))
+    with pytest.raises(DomainError):
+        production_step(x)
+    with pytest.raises(DomainError):
+        next(engine_states(x))
