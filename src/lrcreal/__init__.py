@@ -44,14 +44,12 @@ from .reals import (
 )
 from .streams import (
     LazyList,
-    LazyTree,
     NIL,
     Stream,
     bisimilar_to_depth,
     cons,
     constant,
     decompose,
-    decompose_lazy,
     fib_stream,
     from_list,
     head,
@@ -59,7 +57,6 @@ from .streams import (
     map_stream,
     tail,
     take,
-    tree_take,
     unfold,
 )
 

@@ -9,8 +9,9 @@ Expression grammar (whitespace insensitive)::
     rational := integer | integer "/" integer
 
 Rational literals standing for numbers must lie in [0, 1]. ``add`` is the
-unchecked combination 1*x + 1*y + 0 with a best-effort overflow check;
-``affine`` runs in checked mode (coefficient sum at most 1).
+unchecked combination 1*x + 1*y + 0; every leaf is a rational, so each
+node's exact value is known, and an ``add`` whose value exceeds 1 is
+rejected. ``affine`` runs in checked mode (coefficient sum at most 1).
 
 Exit codes: 0 success, 1 syntax error, 2 domain error or an expression
 nested too deeply for the Python stack.
@@ -21,7 +22,7 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Tuple, Union
 
 from .errors import DomainError, ExprParseError
 from .reals import ExactReal, affine, average, from_rational
@@ -196,38 +197,39 @@ def format_expr(e: Expr) -> str:
     raise TypeError("not an Expr: %r" % (e,))
 
 
-def build_real(e: Expr, check_depth: int) -> ExactReal:
+def build_real(e: Expr) -> ExactReal:
     """Evaluate bottom-up into an ExactReal.
 
-    ``add`` cannot verify its range from coefficients, so it refines both
-    operands to ``check_depth`` first and rejects when the interval lower
-    bounds alone already push the sum past 1.
+    Every leaf is a rational, so the same pass computes each node's exact
+    value. ``add`` is the one unchecked combination: it raises DomainError
+    exactly when its value exceeds 1, at any depth.
     """
+    return _build(e)[0]
+
+
+def _build(e: Expr) -> Tuple[ExactReal, Fraction]:
+    """``(real, exact value)`` of ``e``."""
     if isinstance(e, RatLit):
-        return from_rational(e.value)
+        return from_rational(e.value), e.value
+    if not isinstance(e, (Avg, Add, Affine)):
+        raise TypeError("not an Expr: %r" % (e,))
+    left, lv = _build(e.left)
+    right, rv = _build(e.right)
     if isinstance(e, Avg):
-        return average(build_real(e.left, check_depth), build_real(e.right, check_depth))
+        return average(left, right), (lv + rv) / 2
     if isinstance(e, Add):
-        left = build_real(e.left, check_depth)
-        right = build_real(e.right, check_depth)
-        low = left.to_interval(check_depth).lo + right.to_interval(check_depth).lo
-        if low > 1:
-            raise DomainError("add: sum provably exceeds 1 (lower bound %s)" % low)
-        return affine(Fraction(1), Fraction(1), Fraction(0), left, right, checked=False)
-    if isinstance(e, Affine):
-        return affine(
-            e.ca, e.cb, e.cc,
-            build_real(e.left, check_depth),
-            build_real(e.right, check_depth),
-        )
-    raise TypeError("not an Expr: %r" % (e,))
+        value = lv + rv
+        if value > 1:
+            raise DomainError("add: sum %s exceeds 1" % value)
+        return affine(Fraction(1), Fraction(1), Fraction(0), left, right, checked=False), value
+    return affine(e.ca, e.cb, e.cc, left, right), e.ca * lv + e.cb * rv + e.cc
 
 
 def eval_command(e: Expr, digits: int, format: str = "digits", decimals: int = 12) -> str:
     """One output line for the evaluated expression."""
     if digits < 0:
         raise ValueError("digits must be >= 0")
-    x = build_real(e, digits)
+    x = build_real(e)
     if format == "digits":
         return x.digit_string(digits)
     if format == "interval":

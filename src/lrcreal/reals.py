@@ -135,9 +135,11 @@ def affine(
 
     Coefficients must be non-negative rationals. In checked mode,
     ca + cb + cc <= 1 is required, which guarantees the result stays in
-    [0, 1] whatever the inputs. Unchecked mode drops that guard; the
-    caller then promises the true value is in [0, 1], and gets a
-    meaningless digit stream if the promise is broken.
+    [0, 1] whatever the inputs. Unchecked mode drops that guard, and its
+    digits are sound only when the true value is at most 1; nothing here
+    can check that. Above 1 the engine emits R forever, and its
+    coefficients grow by one bit per digit: for 3/4 + 3/4 they are 10,
+    20 and 40 bits wide at digits 10, 20 and 40.
     """
     ca, cb, cc = Fraction(ca), Fraction(cb), Fraction(cc)
     if ca < 0 or cb < 0 or cc < 0:

@@ -1,10 +1,10 @@
 """Lazy, memoized, immutable streams and lazy lists.
 
 A ``Stream`` is never empty: forcing any cell yields a head and a tail
-stream. A ``LazyList`` may also end in nil. A ``LazyTree`` is the binary
-analogue. All three memoize on first force, so a cell's producer runs once
-per cell (a concurrent force may duplicate a *pure* producer, which is
-observationally invisible) and shared prefixes are computed a single time.
+stream. A ``LazyList`` may also end in nil. Both memoize on first force,
+so a cell's producer runs once per cell (a concurrent force may duplicate
+a *pure* producer, which is observationally invisible) and shared
+prefixes are computed a single time.
 
 Producers handed to ``unfold``, ``cons`` and friends must be pure; an
 impure producer would make memoization change program meaning.
@@ -15,7 +15,7 @@ threads.
 
 from functools import partial
 from itertools import islice
-from typing import Callable, Iterator, List, Optional, Tuple, TypeVar
+from typing import Callable, Iterator, List, Tuple, TypeVar
 
 T = TypeVar("T")
 U = TypeVar("U")
@@ -24,10 +24,7 @@ S = TypeVar("S")
 __all__ = [
     "Stream",
     "LazyList",
-    "LazyTree",
     "NIL",
-    "LEAF",
-    "CUT",
     "cons",
     "head",
     "tail",
@@ -38,17 +35,11 @@ __all__ = [
     "map_lazy",
     "from_list",
     "lazy_cons",
-    "is_nil",
-    "lazy_to_list",
     "decompose",
-    "decompose_lazy",
     "bisimilar_to_depth",
     "fib_stream",
     "increasing_to_depth",
     "local_fib_to_depth",
-    "tree_leaf",
-    "tree_node",
-    "tree_take",
 ]
 
 
@@ -109,36 +100,7 @@ class LazyList(_Cell):
             cell = cell[1].force()
 
 
-class LazyTree(_Cell):
-    """Lazy binary tree; a cell is ``()`` or ``(label, left, right)``."""
-
-    __slots__ = ()
-
-
 NIL = LazyList._ready(())
-
-_TREE_LEAF = LazyTree._ready(())
-
-
-class _Marker:
-    __slots__ = ("_name",)
-
-    def __init__(self, name):
-        self._name = name
-
-    def __repr__(self):
-        return self._name
-
-
-#: Leaf of a finite tree returned by ``tree_take``.
-LEAF = _Marker("<leaf>")
-#: Stands for the pruned-away remainder in a ``tree_take`` result.
-CUT = _Marker("<cut>")
-
-
-def _deferred(t):
-    return t() if callable(t) else t
-
 
 def cons(h: T, t) -> "Stream":
     """Stream with head ``h``; ``t`` is a Stream or a thunk producing one."""
@@ -222,10 +184,6 @@ def lazy_cons(h: T, t) -> "LazyList":
     return LazyList._ready((h, t))
 
 
-def is_nil(l: "LazyList") -> bool:
-    return not l.force()
-
-
 def from_list(items) -> "LazyList":
     """Lazy list with the same elements, ending in nil."""
     out = NIL
@@ -234,26 +192,10 @@ def from_list(items) -> "LazyList":
     return out
 
 
-def lazy_to_list(l: "LazyList", limit: Optional[int] = None) -> List:
-    """Force a lazy list back into a plain list (at most ``limit`` items)."""
-    it = iter(l)
-    if limit is None:
-        return list(it)
-    return list(islice(it, limit))
-
-
 def decompose(s: "Stream") -> "Stream":
     """Head-forced stream observationally equal to ``s``."""
     h, t = s.force()
     return Stream._ready((h, t))
-
-
-def decompose_lazy(l: "LazyList") -> "LazyList":
-    """Head-forced lazy list observationally equal to ``l``."""
-    cell = l.force()
-    if not cell:
-        return NIL
-    return LazyList._ready(cell)
 
 
 def bisimilar_to_depth(a, b, n: int) -> bool:
@@ -318,30 +260,3 @@ def local_fib_to_depth(s: "Stream", n: int) -> bool:
             return False
         x, y = y, z
     return True
-
-
-def tree_leaf() -> "LazyTree":
-    return _TREE_LEAF
-
-
-def tree_node(label: T, left, right) -> "LazyTree":
-    """Lazy node; children are LazyTrees or thunks producing them."""
-    if callable(left) or callable(right):
-        return LazyTree(lambda: (label, _deferred(left), _deferred(right)))
-    return LazyTree._ready((label, left, right))
-
-
-def tree_take(t: "LazyTree", d: int):
-    """Prune at depth ``d``: leaves stay LEAF, deeper nodes become CUT.
-
-    Returns LEAF, CUT, or a ``(label, left, right)`` tuple.
-    """
-    if d < 0:
-        raise ValueError("tree_take: d must be >= 0")
-    cell = t.force()
-    if not cell:
-        return LEAF
-    if d == 0:
-        return CUT
-    label, left, right = cell
-    return (label, tree_take(left, d - 1), tree_take(right, d - 1))

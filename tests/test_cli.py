@@ -4,6 +4,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lrcreal.cli import (
     Add,
@@ -98,9 +100,87 @@ def test_eval_command_examples():
 
 def test_add_overflow_is_domain_error():
     with pytest.raises(DomainError):
-        build_real(parse_expr("add(3/4, 3/4)"), 40)
+        build_real(parse_expr("add(3/4, 3/4)"))
+    # the check is on each add node's exact value, however deep it sits
+    with pytest.raises(DomainError):
+        build_real(parse_expr("avg(add(3/4, 3/4), 0)"))
     # sums equal to 1 are representable and fine
-    build_real(parse_expr("add(1/2, 1/2)"), 40)
+    build_real(parse_expr("add(1/2, 1/2)"))
+    build_real(parse_expr("avg(add(1/2, 1/2), 1/3)"))
+
+
+def exact_value(e):
+    """Fraction value of ``e`` and whether some add node in it exceeds 1."""
+    if isinstance(e, RatLit):
+        return e.value, False
+    lv, left_over = exact_value(e.left)
+    rv, right_over = exact_value(e.right)
+    if isinstance(e, Avg):
+        return (lv + rv) / 2, left_over or right_over
+    if isinstance(e, Add):
+        return lv + rv, left_over or right_over or lv + rv > 1
+    return e.ca * lv + e.cb * rv + e.cc, left_over or right_over
+
+
+def draw_fraction(draw, bound=Fraction(1)):
+    """A rational in [0, bound] with a small denominator."""
+    den = draw(st.integers(1, 12))
+    return Fraction(draw(st.integers(0, int(bound * den))), den)
+
+
+@st.composite
+def cli_exprs(draw, depth):
+    """An avg/add/affine tree ``depth`` nodes deep along one spine.
+
+    Beside each spine node sits a leaf or a one-node tree. Most add nodes
+    get a leaf that keeps their sum at most 1, so deep trees are not all
+    rejects. One in twelve makes the sum exactly 1, one in twelve exceeds
+    1 by 2**-20 (too little for a refinement to 48 digits to see), and
+    one in twelve is free to overflow.
+    """
+    if depth == 0:
+        return RatLit(draw_fraction(draw))
+    deep = draw(cli_exprs(depth - 1))
+    kind = draw(st.sampled_from((Avg, Add, Affine)))
+    fit = draw(st.integers(0, 11)) if kind is Add else 0
+    if fit:
+        room = max(0, 1 - exact_value(deep)[0])
+        if fit == 1:
+            side = RatLit(room)
+        elif fit == 2:
+            side = RatLit(min(1, room + Fraction(1, 2 ** 20)))
+        else:
+            side = RatLit(draw_fraction(draw, room))
+    else:
+        side = draw(cli_exprs(draw(st.integers(0, min(1, depth - 1)))))
+    left, right = (deep, side) if draw(st.booleans()) else (side, deep)
+    if kind is Affine:
+        ca = draw_fraction(draw)
+        cb = draw_fraction(draw, 1 - ca)
+        cc = draw_fraction(draw, 1 - ca - cb)
+        return Affine(ca, cb, cc, left, right)
+    return kind(left, right)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 30).flatmap(cli_exprs), st.integers(0, 48), st.integers(1, 12))
+@example(parse_expr("avg(add(1/2, 1/2), 1/3)"), 16, 6)
+@example(parse_expr("avg(add(3/4, 3/4), 0)"), 2, 6)
+def test_eval_command_encloses_exact_value(e, n, places):
+    e = parse_expr(format_expr(e))
+    value, overflows = exact_value(e)
+    if overflows:
+        for fmt in ("digits", "interval", "decimal"):
+            with pytest.raises(DomainError):
+                eval_command(e, n, fmt, places)
+        return
+    out = eval_command(e, n, "digits")
+    assert len(out) == n
+    assert prefix_interval(str_to_digits(out)).contains(value)
+    lo, hi = (Fraction(t) for t in eval_command(e, n, "interval").strip("[]").split(", "))
+    assert hi - lo == Fraction(1, 2 ** n)
+    assert lo <= value <= hi
+    assert abs(Fraction(eval_command(e, n, "decimal", places)) - value) <= Fraction(1, 10 ** places)
 
 
 def test_selftest_command():
@@ -151,6 +231,11 @@ def test_main_in_process_exit_codes():
     assert main(["eval", "avg(1/3"]) == 1
     assert main(["eval", "3/2"]) == 2
     assert main(["eval", "add(3/4, 3/4)"]) == 2
+    # add's verdict does not depend on how many digits are asked for
+    assert main(["eval", "add(3/4, 3/4)", "--digits", "0"]) == 2
+    assert main(["eval", "add(3/4, 3/4)", "--digits", "1"]) == 2
+    assert main(["eval", "add(3/4, 3/4)", "--digits", "2", "--format", "decimal"]) == 2
+    assert main(["eval", "avg(add(3/4, 3/4), 0)", "--digits", "2"]) == 2
     assert main(["fib", "--count", "3"]) == 0
     assert main(["selftest", "--cases", "-5"]) == 2
     assert main(["selftest", "--depth", "-1"]) == 2

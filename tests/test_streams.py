@@ -6,29 +6,21 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lrcreal.streams import (
-    CUT,
-    LEAF,
     NIL,
     bisimilar_to_depth,
     cons,
     constant,
     decompose,
-    decompose_lazy,
     fib_stream,
     from_list,
     head,
     increasing_to_depth,
-    is_nil,
     lazy_cons,
-    lazy_to_list,
     local_fib_to_depth,
     map_lazy,
     map_stream,
     tail,
     take,
-    tree_leaf,
-    tree_node,
-    tree_take,
     unfold,
 )
 
@@ -146,8 +138,8 @@ def test_map_fusion(fa, fb, ga, gb, n):
 
 def test_map_lazy():
     l = from_list([1, 2, 3])
-    assert lazy_to_list(map_lazy(lambda x: x * 10, l)) == [10, 20, 30]
-    assert is_nil(map_lazy(lambda x: x, NIL))
+    assert list(map_lazy(lambda x: x * 10, l)) == [10, 20, 30]
+    assert not map_lazy(lambda x: x, NIL).force()
 
 
 @given(st.lists(st.integers(), max_size=30))
@@ -166,13 +158,13 @@ def test_map_lazy_identity_on_infinite_list():
 
 @given(st.lists(st.integers(), max_size=50))
 def test_from_list_round_trip(items):
-    assert lazy_to_list(from_list(items)) == items
+    assert list(from_list(items)) == items
 
 
 def test_from_list_examples():
-    assert lazy_to_list(from_list([1, 2, 3])) == [1, 2, 3]
-    assert is_nil(from_list([]))
-    assert len(lazy_to_list(from_list(range(17)))) == 17
+    assert list(from_list([1, 2, 3])) == [1, 2, 3]
+    assert not from_list([]).force()
+    assert len(list(from_list(range(17)))) == 17
 
 
 def test_decompose_is_bisimilar_to_input():
@@ -189,26 +181,7 @@ def test_decompose_forces_exactly_the_head():
     d = decompose(unfold(step, 0))
     assert step.calls == 1
     assert head(d) == 0
-
-
-def test_decompose_lazy():
-    assert is_nil(decompose_lazy(NIL))
-    l = from_list([4, 5])
-    assert bisimilar_to_depth(decompose_lazy(l), l, 10)
     assert head(decompose(constant(1))) == 1
-
-
-def test_decompose_lazy_identity_on_random_lists():
-    rng = random.Random(17)
-    for _ in range(30):
-        l = from_list([rng.randrange(50) for _ in range(rng.randint(0, 1100))])
-        assert bisimilar_to_depth(decompose_lazy(l), l, 1000)
-
-    def counting(n):
-        return lazy_cons(n, lambda: counting(n + 1))
-
-    infinite = counting(0)
-    assert bisimilar_to_depth(decompose_lazy(infinite), infinite, 1000)
 
 
 def test_bisimilar_examples():
@@ -224,7 +197,7 @@ def test_bisimilar_rejects_mixed_types():
     with pytest.raises(TypeError):
         bisimilar_to_depth(constant(1), from_list([1]), 1)
     with pytest.raises(TypeError):
-        bisimilar_to_depth(tree_leaf(), tree_leaf(), 1)
+        bisimilar_to_depth((), (), 1)
 
 
 def test_fib_stream_examples():
@@ -242,21 +215,6 @@ def test_increasing_and_local_fib():
     assert not increasing_to_depth(decreasing, 10)
     assert increasing_to_depth(decreasing, 0)
     assert local_fib_to_depth(constant(1), 0)
-
-
-def test_tree_take():
-    assert tree_take(tree_leaf(), 5) is LEAF
-
-    def full(x):
-        return tree_node(x, lambda: full(x), lambda: full(x))
-
-    assert tree_take(full(1), 0) is CUT
-    assert tree_take(full(1), 1) == (1, CUT, CUT)
-    assert tree_take(full(1), 2) == (1, (1, CUT, CUT), (1, CUT, CUT))
-
-    finite = tree_node(1, tree_node(2, tree_leaf(), tree_leaf()), tree_leaf())
-    assert tree_take(finite, 5) == (1, (2, LEAF, LEAF), LEAF)
-    assert tree_take(finite, 1) == (1, CUT, LEAF)
 
 
 def test_concurrent_forcing_yields_identical_results():
