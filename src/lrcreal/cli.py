@@ -13,8 +13,9 @@ unchecked combination 1*x + 1*y + 0; every leaf is a rational, so each
 node's exact value is known, and an ``add`` whose value exceeds 1 is
 rejected. ``affine`` runs in checked mode (coefficient sum at most 1).
 
-Exit codes: 0 success, 1 syntax error, 2 domain error or an expression
-nested too deeply for the Python stack.
+Exit codes: 0 success, 1 syntax error, 2 domain error. Parsing, building
+and evaluating use explicit stacks, so nesting depth is bounded by time
+and memory, not by Python's recursion limit.
 """
 
 import argparse
@@ -22,7 +23,7 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple, Union
+from typing import Union
 
 from .errors import DomainError, ExprParseError
 from .reals import ExactReal, affine, average, from_rational
@@ -127,54 +128,59 @@ class _Parser:
             self.pos += 1
         return self.text[start:self.pos]
 
-    def expr(self) -> Expr:
-        self._skip_ws()
-        ch = self._peek()
-        if ch.isalpha():
-            at = self.pos
-            name = self._identifier()
-            if name == "avg":
-                left, right = self._pair()
-                return Avg(left, right)
-            if name == "add":
-                left, right = self._pair()
-                return Add(left, right)
-            if name == "affine":
-                self._expect("(")
-                ca = self._rational()
-                self._expect(",")
-                cb = self._rational()
-                self._expect(",")
-                cc = self._rational()
-                self._expect(";")
-                left = self.expr()
-                self._expect(",")
-                right = self.expr()
-                self._expect(")")
-                return Affine(ca, cb, cc, left, right)
-            self.pos = at
-            self._fail("'avg', 'add' or 'affine'")
-        if ch.isdigit() or ch == "-":
+    def _call(self, name: str) -> list:
+        """An open call after its name: ``[type, coefficients, operands]``.
+
+        Consumes "(" and, for affine, the coefficients and ";".
+        """
+        self._expect("(")
+        if name == "avg":
+            return [Avg, (), []]
+        if name == "add":
+            return [Add, (), []]
+        ca = self._rational()
+        self._expect(",")
+        cb = self._rational()
+        self._expect(",")
+        cc = self._rational()
+        self._expect(";")
+        return [Affine, (ca, cb, cc), []]
+
+    def parse(self) -> Expr:
+        """The whole text as one expression, with an explicit stack of open calls."""
+        calls = []
+        while True:
+            self._skip_ws()
+            ch = self._peek()
+            if ch.isalpha():
+                at = self.pos
+                name = self._identifier()
+                if name not in ("avg", "add", "affine"):
+                    self.pos = at
+                    self._fail("'avg', 'add' or 'affine'")
+                calls.append(self._call(name))
+                continue
+            if not (ch.isdigit() or ch == "-"):
+                self._fail("a rational literal, 'avg', 'add' or 'affine'")
             value = self._rational()
             if value < 0 or value > 1:
                 raise DomainError("literal %s outside [0, 1]" % value)
-            return RatLit(value)
-        self._fail("a rational literal, 'avg', 'add' or 'affine'")
-
-    def _pair(self):
-        self._expect("(")
-        left = self.expr()
-        self._expect(",")
-        right = self.expr()
-        self._expect(")")
-        return left, right
-
-    def parse(self) -> Expr:
-        e = self.expr()
-        self._skip_ws()
-        if self.pos != len(self.text):
-            self._fail("end of input")
-        return e
+            e = RatLit(value)
+            # Close every call this operand completes.
+            while calls:
+                kind, coefficients, operands = calls[-1]
+                operands.append(e)
+                if len(operands) == 1:
+                    self._expect(",")
+                    break
+                self._expect(")")
+                calls.pop()
+                e = kind(*coefficients, *operands)
+            else:
+                self._skip_ws()
+                if self.pos != len(self.text):
+                    self._fail("end of input")
+                return e
 
 
 def parse_expr(text: str) -> Expr:
@@ -184,17 +190,23 @@ def parse_expr(text: str) -> Expr:
 
 def format_expr(e: Expr) -> str:
     """Render an Expr in the grammar's concrete syntax (reparses equal)."""
-    if isinstance(e, RatLit):
-        return str(e.value)
-    if isinstance(e, Avg):
-        return "avg(%s, %s)" % (format_expr(e.left), format_expr(e.right))
-    if isinstance(e, Add):
-        return "add(%s, %s)" % (format_expr(e.left), format_expr(e.right))
-    if isinstance(e, Affine):
-        return "affine(%s, %s, %s; %s, %s)" % (
-            e.ca, e.cb, e.cc, format_expr(e.left), format_expr(e.right)
-        )
-    raise TypeError("not an Expr: %r" % (e,))
+    parts = []
+    todo = [e]  # expressions still to render and text still to write, last first
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            parts.append(item)
+        elif isinstance(item, RatLit):
+            parts.append(str(item.value))
+        elif isinstance(item, (Avg, Add)):
+            parts.append("avg(" if isinstance(item, Avg) else "add(")
+            todo += [")", item.right, ", ", item.left]
+        elif isinstance(item, Affine):
+            parts.append("affine(%s, %s, %s; " % (item.ca, item.cb, item.cc))
+            todo += [")", item.right, ", ", item.left]
+        else:
+            raise TypeError("not an Expr: %r" % (item,))
+    return "".join(parts)
 
 
 def build_real(e: Expr) -> ExactReal:
@@ -202,27 +214,34 @@ def build_real(e: Expr) -> ExactReal:
 
     Every leaf is a rational, so the same pass computes each node's exact
     value. ``add`` is the one unchecked combination: it raises DomainError
-    exactly when its value exceeds 1, at any depth.
+    exactly when its value exceeds 1, at any depth. The pass is a
+    post-order walk on an explicit stack, so nesting depth is not bounded
+    by Python's.
     """
-    return _build(e)[0]
-
-
-def _build(e: Expr) -> Tuple[ExactReal, Fraction]:
-    """``(real, exact value)`` of ``e``."""
-    if isinstance(e, RatLit):
-        return from_rational(e.value), e.value
-    if not isinstance(e, (Avg, Add, Affine)):
-        raise TypeError("not an Expr: %r" % (e,))
-    left, lv = _build(e.left)
-    right, rv = _build(e.right)
-    if isinstance(e, Avg):
-        return average(left, right), (lv + rv) / 2
-    if isinstance(e, Add):
-        value = lv + rv
-        if value > 1:
-            raise DomainError("add: sum %s exceeds 1" % value)
-        return affine(Fraction(1), Fraction(1), Fraction(0), left, right, checked=False), value
-    return affine(e.ca, e.cb, e.cc, left, right), e.ca * lv + e.cb * rv + e.cc
+    built = []  # (real, exact value) of each finished operand
+    todo = [(e, False)]
+    while todo:
+        node, operands_built = todo.pop()
+        if isinstance(node, RatLit):
+            built.append((from_rational(node.value), node.value))
+            continue
+        if not isinstance(node, (Avg, Add, Affine)):
+            raise TypeError("not an Expr: %r" % (node,))
+        if not operands_built:
+            todo += [(node, True), (node.right, False), (node.left, False)]
+            continue
+        right, rv = built.pop()
+        left, lv = built.pop()
+        if isinstance(node, Avg):
+            built.append((average(left, right), (lv + rv) / 2))
+        elif isinstance(node, Add):
+            value = lv + rv
+            if value > 1:
+                raise DomainError("add: sum %s exceeds 1" % value)
+            built.append((affine(Fraction(1), Fraction(1), Fraction(0), left, right, checked=False), value))
+        else:
+            built.append((affine(node.ca, node.cb, node.cc, left, right), node.ca * lv + node.cb * rv + node.cc))
+    return built[0][0]
 
 
 def eval_command(e: Expr, digits: int, format: str = "digits", decimals: int = 12) -> str:

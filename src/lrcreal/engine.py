@@ -30,18 +30,25 @@ reach q >= 8p) is positive, and it strictly drops on every consumption.
 Consumption runs are therefore finite and the output stream productive,
 for any positive-coefficient state.
 
-Engine state is ``AffineData``, a named tuple
-``(a, a', b, b', c, c', v1, v2)`` whose constructor checks the signs. A
-digit is its own weight (``Digit`` is an ``IntEnum``). ``production_step``
-is the fused loop that ``produce_stream`` runs: from one state to the
-next emitted digit, it runs the tests, the consumptions and the gcd
-reductions inline on local integers and builds one ``AffineData`` per
-digit; every state it passes through still gets the constructor's sign
-check. ``engine_states`` is the step-at-a-time reference that tests
-compare it against: it yields a checked ``AffineData`` after every step,
-built from the same helpers that ``decide``, ``prod_*``, ``consume`` and
-``normalize`` apply to a single state. All tests and rewrites are exact
-integer arithmetic; nothing here touches floating point.
+Reals are nodes of a graph, and each node keeps an append-only buffer
+``out`` of the digits it has produced. A ``RationalNode`` (long division)
+and a ``StreamNode`` (over an arbitrary digit ``Stream``) are leaves; an
+``EngineNode`` holds the six coefficients and two child nodes, and reads
+their buffers by index, so a child read by several parents is computed
+once. ``demand`` grows a buffer: ``_run`` is the engine loop, which steps
+nodes in turn on an explicit stack, resumes each from its saved
+coefficients and read index, fills leaves in place and asks a child for a
+proven lower bound on the digits its parent will read. Nesting depth
+costs stack entries, not Python frames. ``NodeStream`` is the ``Stream``
+view of a buffer. ``production_step`` and ``produce_stream`` run the
+same loop on ``AffineData``, a named tuple ``(a, a', b, b', c, c', v1, v2)``
+whose constructor checks the signs. A digit is its own weight (``Digit``
+is an ``IntEnum``). ``engine_states`` is the step-at-a-time reference
+that tests compare the loop against: it yields a checked ``AffineData``
+after every step, built from the same helpers that ``decide``,
+``prod_*``, ``consume`` and ``normalize`` apply to a single state. All
+tests and rewrites are exact integer arithmetic; nothing here touches
+floating point.
 """
 
 from collections import namedtuple
@@ -49,11 +56,12 @@ from enum import Enum
 from fractions import Fraction
 from functools import partial
 from math import gcd
+from threading import RLock
 from typing import Iterator, Optional, Tuple
 
 from .digits import Digit
 from .errors import DomainError
-from .streams import Stream, unfold
+from .streams import Stream
 
 __all__ = [
     "AffineData",
@@ -69,6 +77,12 @@ __all__ = [
     "production_step",
     "engine_states",
     "produce_stream",
+    "RationalNode",
+    "StreamNode",
+    "EngineNode",
+    "NodeStream",
+    "demand",
+    "stream_node",
 ]
 
 
@@ -263,51 +277,281 @@ def engine_states(x: AffineData, normalize_steps: bool = True) -> Iterator[Tuple
         yield digit, x
 
 
+#: The digits as module constants: an enum member lookup (``Digit.R``) costs
+#: several times a global's in the loops below.
+_L, _C, _R = Digit.L, Digit.C, Digit.R
+
+
+class RationalNode:
+    """The digits of ``num/den`` in [0, 1], by long division.
+
+    With numerator state ``num`` over the fixed ``den``: emit L and double
+    while ``2*num <= den``, else emit R and continue with ``2*num - den``.
+    Only L and R digits ever appear. A leaf: whoever reads it fills it.
+    """
+
+    __slots__ = ("out", "num", "den")
+    leaf = True
+
+    def __init__(self, num: int, den: int):
+        self.out = []
+        self.num = num
+        self.den = den
+
+    def fill(self, n: int):
+        """Extend the buffer to ``n`` digits; never waits on another node."""
+        out, num, den = self.out, self.num, self.den
+        for _ in range(n - len(out)):
+            num *= 2
+            if num <= den:
+                out.append(_L)
+            else:
+                num -= den
+                out.append(_R)
+        self.num = num
+        return None
+
+
+class StreamNode:
+    """A leaf over an arbitrary digit ``Stream``: buffers the cells it forces.
+
+    ``rest`` is the stream after the buffered digits. When ``rest`` is a
+    ``NodeStream`` over an engine node, forcing it would run that node
+    inside this call; ``fill`` hands the node back instead, so that a
+    chain of reals built lazily from streams also runs on the explicit
+    stack.
+    """
+
+    __slots__ = ("out", "rest")
+    leaf = True
+
+    def __init__(self, stream: Stream):
+        self.out = []
+        self.rest = stream
+
+    def fill(self, n: int):
+        """Extend the buffer to ``n`` digits.
+
+        Returns None when done, or ``(node, m)`` when the stream reads an
+        engine node that must hold m digits first.
+        """
+        out = self.out
+        while len(out) < n:
+            rest = self.rest
+            if isinstance(rest, NodeStream) and not rest.node.leaf:
+                want = rest.index + n - len(out)
+                if len(rest.node.out) < want:
+                    return rest.node, want
+            digit, self.rest = rest.force()
+            out.append(digit)
+        return None
+
+
+class EngineNode:
+    """The engine on (a/a_den)*left + (b/b_den)*right + c/c_den, resumable.
+
+    ``out`` holds the digits produced so far and ``read`` the input digits
+    consumed from each child; ``state`` is the six coefficients after
+    them, with signs as ``AffineData`` checks them. The children are
+    nodes, read by index into their ``out``, so a node read by several
+    parents is computed once. ``bounded`` records whether the coefficients
+    sum to at most 1, which every step preserves; ``demand`` uses it to
+    ask a child for more than one digit at a time.
+    """
+
+    __slots__ = ("out", "state", "read", "left", "right", "normalize_steps", "bounded")
+    leaf = False
+
+    def __init__(self, a, a_den, b, b_den, c, c_den, left, right, normalize_steps: bool = True):
+        self.out = []
+        self.state = a, a_den, b, b_den, c, c_den
+        self.read = 0
+        self.left = left
+        self.right = right
+        self.normalize_steps = normalize_steps
+        self.bounded = a * b_den * c_den + b * a_den * c_den + c * a_den * b_den <= a_den * b_den * c_den
+
+
+#: Serializes buffer growth: two threads extending one node at once would
+#: interleave its saved state. Re-entrant, because a StreamNode's stream
+#: may itself be a NodeStream whose cells demand digits.
+_LOCK = RLock()
+
+
+def demand(node, n: int):
+    """Extend ``node``'s buffer to at least ``n`` digits.
+
+    Leaves fill themselves; an engine node runs in ``_run``, and so does
+    an engine node a leaf waits on.
+    """
+    if len(node.out) >= n:
+        return
+    with _LOCK:
+        while len(node.out) < n:
+            waiting = node.fill(n) if node.leaf else (node, n)
+            if waiting is not None:
+                _run(*waiting)
+
+
+def _run(node: EngineNode, want: int):
+    """The engine loop: extend an engine node's buffer to ``want`` digits.
+
+    Nodes take turns on an explicit stack of ``(node, digits wanted)``.
+    The current node steps until it holds the digits wanted, and its
+    parent resumes, or until an engine child must grow first: then its
+    state is saved and the child becomes current. Leaf children are
+    filled in place, unless they wait on an engine node, which then
+    becomes current. Nesting depth costs stack entries, not Python frames.
+
+    A blocked node asks its child for a proven lower bound on the input
+    digits it reads before its wanted digits, so no child produces a digit
+    the lazy stream semantics would not. Unbounded states can emit R with
+    no consumption, so they ask for one digit. A bounded state keeps
+    a/a' + b/b' + c/c' <= 1, so each test that emits (R: c/c' >= 1/2;
+    L: the sum <= 1/2; C: the sum <= 3/4 and c/c' >= 1/4) implies
+    s = a/a' + b/b' <= 1/2. An emission doubles s and a consumption halves
+    it, so k more digits need m more consumptions with
+    s * 2**(k - 1 - m) <= 1/2. With N = a*b' + b*a' and D = a'*b',
+    s > 2**(bitlen(N) - bitlen(D) - 1), hence m >= k + bitlen(N) - bitlen(D).
+
+    The steps are the ones ``engine_states`` takes: the tests of
+    ``_choose``, the carry of ``_consume`` and the reductions of
+    ``_reduce``, inline on local integers. Every state inside a
+    consumption run gets ``AffineData``'s sign check without being built.
+    If anything raises, the current node drops the digits it produced
+    since it last became current, so its buffer and saved state agree.
+    """
+    parents = []
+    # The current node was saved blocked on a consumption, so its first
+    # step is that consumption. Nothing else steps it meanwhile: the graph
+    # is acyclic, so no node below it on the stack reaches it.
+    resumed = False
+    while True:
+        out = node.out
+        start = produced = len(out)
+        a, a_den, b, b_den, c, c_den = node.state
+        i = node.read
+        left, right = node.left, node.right
+        left_out, right_out = left.out, right.out
+        ready = len(left_out)  # input digits both children hold
+        if len(right_out) < ready:
+            ready = len(right_out)
+        normalize_steps = node.normalize_steps
+        blocked = None
+        try:
+            while produced < want:
+                if resumed:
+                    resumed = False
+                    digit = None
+                elif c_den <= 2 * c:
+                    digit = _R
+                else:
+                    weighted = a * b_den * c_den + b * a_den * c_den + a_den * b_den * c
+                    den_prod = a_den * b_den * c_den
+                    if 2 * weighted <= den_prod:
+                        digit = _L
+                    elif 4 * weighted <= 3 * den_prod and c_den <= 4 * c:
+                        digit = _C
+                    else:
+                        digit = None
+                if digit is None:
+                    if i == ready:
+                        more = 1
+                        if node.bounded:
+                            more = want - produced + (a * b_den + b * a_den).bit_length() - (a_den * b_den).bit_length()
+                            if more < 1:
+                                more = 1
+                        if len(left_out) <= i:
+                            blocked = left.fill(i + more) if left.leaf else (left, i + more)
+                        if len(right_out) <= i:
+                            waiting = right.fill(i + more) if right.leaf else (right, i + more)
+                            if blocked is None:
+                                blocked = waiting
+                        if blocked is not None:
+                            break
+                        ready = len(left_out)
+                        if len(right_out) < ready:
+                            ready = len(right_out)
+                    c, c_den = _carry(left_out[i], right_out[i], a, a_den, b, b_den, c, c_den)
+                    i += 1
+                    a_den *= 2
+                    b_den *= 2
+                    if not (a >= 0 and b >= 0 and c >= 0 and a_den > 0 and b_den > 0 and c_den > 0):
+                        AffineData(a, a_den, b, b_den, c, c_den, left, right)  # raises DomainError
+                else:
+                    a *= 2
+                    b *= 2
+                    c = 4 * c - digit * c_den
+                    c_den *= 2
+                    out.append(digit)
+                    produced += 1
+                if normalize_steps:
+                    g = gcd(a, a_den)
+                    a //= g
+                    a_den //= g
+                    g = gcd(b, b_den)
+                    b //= g
+                    b_den //= g
+                    g = gcd(c, c_den)
+                    c //= g
+                    c_den //= g
+        except BaseException:
+            del out[start:]
+            raise
+        node.state = a, a_den, b, b_den, c, c_den
+        node.read = i
+        if blocked is not None:
+            parents.append((node, want))
+            node, want = blocked
+        elif parents:
+            node, want = parents.pop()
+            resumed = True
+        else:
+            return
+
+
+class NodeStream(Stream):
+    """The digits of a node's buffer from ``index`` on, as a ``Stream``.
+
+    Forcing a cell demands one more digit of the node, so reading a view
+    is exactly as lazy as reading a memoized digit stream.
+    """
+
+    __slots__ = ("node", "index")
+
+    def __init__(self, node, index: int = 0):
+        Stream.__init__(self, partial(_node_cell, node, index))
+        self.node = node
+        self.index = index
+
+
+def _node_cell(node, index):
+    demand(node, index + 1)
+    return node.out[index], NodeStream(node, index + 1)
+
+
+def stream_node(stream: Stream):
+    """The node whose digits ``stream`` reads.
+
+    A whole-buffer ``NodeStream`` reads its own node; any other stream is
+    wrapped in a ``StreamNode``.
+    """
+    if isinstance(stream, NodeStream) and stream.index == 0:
+        return stream.node
+    return StreamNode(stream)
+
+
 def production_step(x: AffineData, normalize_steps: bool = True) -> Tuple[Digit, AffineData]:
     """Run consumptions until a digit comes out; at most measure(x) of them.
 
-    The fused form of the ``engine_states`` loop up to its next emission:
-    the tests of ``_choose``, the consumption of ``_consume`` and the
-    reductions of ``_reduce`` run inline on local integers, and only the
-    state after the emission is built as an ``AffineData``. The states in
-    between get that constructor's sign check without being built.
+    One digit of the engine loop: the state runs as an ``EngineNode`` over
+    its two input streams until it has emitted, and comes back as the
+    state after that emission, whose inputs are the tails left after the
+    consumptions.
     """
-    a, a_den, b, b_den, c, c_den, v1, v2 = x
-    digit = None
-    while digit is None:
-        if c_den <= 2 * c:
-            digit = Digit.R
-        else:
-            weighted = a * b_den * c_den + b * a_den * c_den + a_den * b_den * c
-            den_prod = a_den * b_den * c_den
-            if 2 * weighted <= den_prod:
-                digit = Digit.L
-            elif 4 * weighted <= 3 * den_prod and c_den <= 4 * c:
-                digit = Digit.C
-        if digit is None:
-            d1, v1 = v1.force()
-            d2, v2 = v2.force()
-            c, c_den = _carry(d1, d2, a, a_den, b, b_den, c, c_den)
-            a_den *= 2
-            b_den *= 2
-            if not (a >= 0 and b >= 0 and c >= 0 and a_den > 0 and b_den > 0 and c_den > 0):
-                AffineData(a, a_den, b, b_den, c, c_den, v1, v2)  # raises DomainError
-        else:
-            a *= 2
-            b *= 2
-            c = 4 * c - digit * c_den
-            c_den *= 2
-        if normalize_steps:
-            g = gcd(a, a_den)
-            a //= g
-            a_den //= g
-            g = gcd(b, b_den)
-            b //= g
-            b_den //= g
-            g = gcd(c, c_den)
-            c //= g
-            c_den //= g
-    return digit, AffineData(a, a_den, b, b_den, c, c_den, v1, v2)
+    node = EngineNode(*x.coefficients, StreamNode(x.v1), StreamNode(x.v2), normalize_steps)
+    demand(node, 1)
+    return node.out[0], AffineData(*node.state, node.left.rest, node.right.rest)
 
 
 def produce_stream(x: AffineData, normalize_steps: bool = True) -> Stream:
@@ -319,4 +563,4 @@ def produce_stream(x: AffineData, normalize_steps: bool = True) -> Stream:
     meaningless otherwise. Callers wanting the checked guarantee go
     through the real-number layer.
     """
-    return unfold(partial(production_step, normalize_steps=normalize_steps), x)
+    return NodeStream(EngineNode(*x.coefficients, stream_node(x.v1), stream_node(x.v2), normalize_steps))

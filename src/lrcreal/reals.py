@@ -1,6 +1,9 @@
 """User-facing exact reals on [0, 1].
 
-An ``ExactReal`` wraps an infinite digit stream. Every query is a finite
+An ``ExactReal`` is a node of the engine graph: a rational leaf, a leaf
+over an arbitrary digit stream, or an engine node over two other reals.
+Each node keeps the digits it has produced, and every query reads them by
+index, demanding only as many as it needs. Every query is a finite
 refinement: asking for depth n yields an interval of width exactly 2**-n
 guaranteed to contain the value. Nothing here can decide equality of two
 reals; ``compare`` bounds its search and says so when it gives up.
@@ -8,15 +11,15 @@ reals; ``compare`` bounds its search and says so when it gives up.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import List, Union
 
 from .digits import Digit, Interval, _left_end, digits_to_str, prefix_interval
 # No query here refines Fraction intervals any more, but the benchmark's
 # tracer (bench/spans.py) wraps the ``reals.refine`` binding, so it stays.
 from .digits import refine  # noqa: F401
-from .engine import AffineData, produce_stream
+from .engine import EngineNode, NodeStream, RationalNode, demand, stream_node
 from .errors import DomainError
-from .streams import Stream, take, unfold
+from .streams import Stream
 
 __all__ = [
     "ExactReal",
@@ -31,25 +34,38 @@ __all__ = [
 
 
 class ExactReal:
-    """A real number in [0, 1] as a lazy digit stream.
+    """A real number in [0, 1] as a lazily produced digit sequence.
 
     Well-formed instances denote the single point in the intersection of
     their prefix intervals; that the value lies in [0, 1] is a promise of
-    the constructor used, not something checkable from the stream.
+    the constructor used, not something checkable from the digits.
+    ``ExactReal(stream)`` reads an arbitrary digit ``Stream``; ``digits``
+    is a ``Stream`` view of the real's digits.
     """
 
-    __slots__ = ("digits",)
+    __slots__ = ("node",)
 
     def __init__(self, digits: Stream):
-        self.digits = digits
+        self.node = stream_node(digits)
+
+    @property
+    def digits(self) -> Stream:
+        return NodeStream(self.node)
+
+    def _prefix(self, n: int) -> List[Digit]:
+        """The first ``n`` digits, produced if not yet there."""
+        if n < 0:
+            raise ValueError("depth must be >= 0")
+        demand(self.node, n)
+        return self.node.out[:n]
 
     def to_interval(self, depth: int) -> Interval:
         """Enclosing interval after ``depth`` digits; width is 2**-depth."""
-        return prefix_interval(take(self.digits, depth))
+        return prefix_interval(self._prefix(depth))
 
     def digit_string(self, count: int) -> str:
         """The first ``count`` digits as text like "LRLR"."""
-        return digits_to_str(take(self.digits, count))
+        return digits_to_str(self._prefix(count))
 
     def to_decimal(self, places: int) -> str:
         """Decimal rendering within 10**-places of the true value.
@@ -70,7 +86,7 @@ class ExactReal:
             raise ValueError("to_decimal: places must be >= 1")
         scale = 10 ** places
         depth = scale.bit_length() + 2
-        m, _ = _left_end(take(self.digits, depth))
+        m, _ = _left_end(self._prefix(depth))
         units = ((m + 1) * scale + (1 << depth)) >> (depth + 1)
         return "%d.%s" % (units // scale, _zero_padded(units % scale, places))
 
@@ -97,25 +113,22 @@ def _zero_padded(n: int, width: int) -> str:
     return "%0*d" % (width, n) + "".join(reversed(blocks))
 
 
+def _real(node) -> ExactReal:
+    x = ExactReal.__new__(ExactReal)
+    x.node = node
+    return x
+
+
 def from_rational(r: Fraction) -> ExactReal:
     """Exact representation of a rational in [0, 1].
 
-    Long division by halving: with numerator state a over fixed
-    denominator b, emit L and double a while 2a <= b, else emit R and
-    continue with 2a - b. Only L and R digits ever appear.
+    Its digits come by long division (see ``RationalNode``); only L and R
+    digits ever appear.
     """
     r = Fraction(r)
     if r < 0 or r > 1:
         raise DomainError("from_rational needs a value in [0, 1], got %s" % r)
-    b = r.denominator
-
-    def halve(a):
-        doubled = 2 * a
-        if doubled <= b:
-            return Digit.L, doubled
-        return Digit.R, doubled - b
-
-    return ExactReal(unfold(halve, r.numerator))
+    return _real(RationalNode(r.numerator, r.denominator))
 
 
 def average(x: ExactReal, y: ExactReal) -> ExactReal:
@@ -148,13 +161,12 @@ def affine(
         raise DomainError(
             "checked affine needs ca + cb + cc <= 1, got %s" % (ca + cb + cc)
         )
-    state = AffineData(
+    return _real(EngineNode(
         ca.numerator, ca.denominator,
         cb.numerator, cb.denominator,
         cc.numerator, cc.denominator,
-        x.digits, y.digits,
-    )
-    return ExactReal(produce_stream(state))
+        x.node, y.node,
+    ))
 
 
 #: ``compare`` verdicts: strict orderings, or a bound on how close they are.
@@ -186,16 +198,21 @@ def compare(x: ExactReal, y: ExactReal, max_depth: int) -> Union[str, Indistingu
     x's interval lies wholly below y's when g > 2 and wholly above when
     g < -2. Each digit pair maps g to 2g + k(dy) - k(dx). While the
     intervals overlap |g| <= 2, so every step is constant work on a small
-    int and the whole comparison is linear in the depth reached.
+    int and the whole comparison is linear in the depth reached. Digits are
+    demanded one depth at a time, so neither real is expanded past the
+    depth where the intervals separate.
     """
     if max_depth < 0:
         raise ValueError("compare: max_depth must be >= 0")
     gap = 0
-    sx, sy = x.digits, y.digits
-    for _ in range(max_depth):
-        dx, sx = sx.force()
-        dy, sy = sy.force()
-        gap = 2 * gap + dy - dx
+    nx, ny = x.node, y.node
+    xs, ys = nx.out, ny.out
+    for depth in range(max_depth):
+        if len(xs) <= depth:
+            demand(nx, depth + 1)
+        if len(ys) <= depth:
+            demand(ny, depth + 1)
+        gap = 2 * gap + ys[depth] - xs[depth]
         if gap > 2:
             return LESS
         if gap < -2:

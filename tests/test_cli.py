@@ -250,22 +250,38 @@ def test_main_eval_interval_output(capsys):
     assert capsys.readouterr().out == "[1/4, 9/32]\n"
 
 
-def test_main_reports_deep_nesting_as_exit_2(capsys):
-    text = "avg(" * 1000 + "1/3" + ", 1/6)" * 1000
-    assert main(["eval", text]) == 2
-    assert "error: expression nested too deeply" in capsys.readouterr().err
+def test_main_evaluates_10000_deep_mixed_chain(capsys):
+    # Parsing, formatting and building all run on explicit stacks, so a
+    # chain far deeper than Python's recursion limit goes through every
+    # pass. Dataclass ``==`` on such trees would itself recurse per level,
+    # so the round trip is compared as text.
+    rng = random.Random(97)
+    e = RatLit(Fraction(1, 3))
+    for i in range(10_000):
+        side = RatLit(Fraction(rng.randint(0, 4), 4))
+        kind = i % 3
+        if kind == 0:
+            e = Avg(e, side) if rng.random() < 0.5 else Avg(side, e)
+        elif kind == 1:
+            e = Add(e, RatLit(Fraction(0)))
+        else:
+            e = Affine(Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), e, side)
+    text = format_expr(e)
+    assert format_expr(parse_expr(text)) == text
+    assert main(["eval", text, "--digits", "0"]) == 0
+    assert capsys.readouterr().out == "\n"
 
 
-def test_main_evaluates_avg_chain_200_deep(capsys):
-    depth = 200
-    text = "avg(" * depth + "1/3" + ", 1/5)" * depth
-    value = Fraction(1, 3)
-    for _ in range(depth):
-        value = (value + Fraction(1, 5)) / 2
-    assert main(["eval", text, "--digits", "64"]) == 0
-    out = capsys.readouterr().out.strip()
-    assert len(out) == 64
-    assert prefix_interval(str_to_digits(out)).contains(value)
+def test_main_evaluates_avg_chains_200_and_1000_deep(capsys):
+    for depth in (200, 1000):
+        text = "avg(" * depth + "1/3" + ", 1/5)" * depth
+        value = Fraction(1, 3)
+        for _ in range(depth):
+            value = (value + Fraction(1, 5)) / 2
+        assert main(["eval", text, "--digits", "64"]) == 0
+        out = capsys.readouterr().out.strip()
+        assert len(out) == 64
+        assert prefix_interval(str_to_digits(out)).contains(value)
 
 
 def test_cli_subprocess_eval():

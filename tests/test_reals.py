@@ -1,13 +1,16 @@
 import math
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import digits_then_constant, rand_fraction, refine_fold
-from lrcreal.digits import UNIT, Digit, prefix_interval, refine
+from helpers import digits_then_constant, rand_fraction, rational_stream, refine_fold
+from lrcreal.digits import UNIT, Digit, digits_to_str, prefix_interval, refine
+from lrcreal.engine import AffineData, engine_states
 from lrcreal.errors import DomainError
 from lrcreal.reals import (
     GREATER,
@@ -19,7 +22,7 @@ from lrcreal.reals import (
     compare,
     from_rational,
 )
-from lrcreal.streams import cons, constant, take
+from lrcreal.streams import Stream, cons, constant, take, unfold
 
 
 def test_from_rational_known_expansions():
@@ -250,3 +253,158 @@ def test_compare_antisymmetry():
         y = from_rational(rand_fraction(rng))
         if compare(x, y, 24) == LESS:
             assert compare(y, x, 24) == GREATER
+
+
+def reference_stream(x, forced):
+    """The digits of state ``x`` as memoized cells over ``engine_states``.
+
+    ``forced[0]`` counts the cells forced so far.
+    """
+    steps = engine_states(x)
+
+    def cell(_):
+        for digit, _state in steps:
+            if digit is not None:
+                forced[0] += 1
+                return digit, None
+
+    return unfold(cell, None)
+
+
+def small_fraction(draw, bound=Fraction(1)):
+    den = draw(st.integers(1, 9))
+    return Fraction(draw(st.integers(0, int(bound * den))), den)
+
+
+@st.composite
+def node_graphs(draw, depth):
+    """A recipe for a real ``depth`` engine nodes deep along one spine.
+
+    Leaves are rationals or ``ExactReal(Stream)`` over digits that end in
+    a constant. "twice" averages one subtree with itself and "share"
+    reads one subtree from two parents: affine(ca, cb, cc; x, average(x, y)).
+    "add" is the unchecked sum, whose digits may not denote a value in
+    [0, 1] but are still the engine's digits.
+    """
+    if depth == 0:
+        if draw(st.booleans()):
+            return ("rational", small_fraction(draw))
+        return ("stream", draw(st.lists(digits, max_size=6)), draw(digits))
+    kind = draw(st.sampled_from(("avg", "twice", "affine", "share", "add")))
+    x = draw(node_graphs(depth - 1))
+    if kind == "twice":
+        return (kind, x)
+    y = draw(node_graphs(draw(st.integers(0, min(2, depth - 1)))))
+    if kind in ("affine", "share"):
+        ca = small_fraction(draw)
+        cb = small_fraction(draw, 1 - ca)
+        cc = small_fraction(draw, 1 - ca - cb)
+        return (kind, ca, cb, cc, x, y)
+    if draw(st.booleans()):
+        x, y = y, x
+    return (kind, x, y)
+
+
+def build_both(recipe, engines):
+    """``(real, reference stream)`` for a recipe.
+
+    Each engine node built is recorded in ``engines`` with the counter of
+    cells its reference forces.
+    """
+    kind = recipe[0]
+    if kind == "rational":
+        return from_rational(recipe[1]), rational_stream(recipe[1])
+    if kind == "stream":
+        stream = digits_then_constant(recipe[1], recipe[2])
+        return ExactReal(stream), stream
+
+    def combine(ca, cb, cc, x, y, checked=True):
+        (xr, xs), (yr, ys) = x, y
+        real = affine(ca, cb, cc, xr, yr, checked)
+        forced = [0]
+        engines.append((real.node, forced))
+        state = AffineData(ca.numerator, ca.denominator, cb.numerator, cb.denominator, cc.numerator, cc.denominator, xs, ys)
+        return real, reference_stream(state, forced)
+
+    half, zero, one = Fraction(1, 2), Fraction(0), Fraction(1)
+    if kind == "twice":
+        x = build_both(recipe[1], engines)
+        return combine(half, half, zero, x, x)
+    if kind == "avg":
+        return combine(half, half, zero, build_both(recipe[1], engines), build_both(recipe[2], engines))
+    if kind == "add":
+        return combine(one, one, zero, build_both(recipe[1], engines), build_both(recipe[2], engines), False)
+    _, ca, cb, cc, x, y = recipe
+    x, y = build_both(x, engines), build_both(y, engines)
+    if kind == "share":
+        y = combine(half, half, zero, x, y)
+    return combine(ca, cb, cc, x, y)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 8).flatmap(node_graphs), st.integers(0, 80))
+def test_node_graph_matches_memoized_engine_states(recipe, n):
+    # Engine nodes read shared children by index into their buffers; the
+    # reference runs engine_states over memoized streams. The digits must
+    # agree, and no node may have produced a digit its reference was never
+    # asked for: the lower bound a blocked node asks its child for never
+    # over-demands.
+    engines = []
+    real, reference = build_both(recipe, engines)
+    assert real.digit_string(n) == digits_to_str(take(reference, n))
+    for node, forced in engines:
+        assert len(node.out) <= forced[0]
+
+
+def test_series_built_from_streams_runs_on_the_explicit_stack():
+    # e - 2 = 1/2 (1 + 1/3 (1 + 1/4 (...))): term k is a checked affine
+    # node whose input is a stream that builds term k + 1 when forced.
+    # Reading such a chain must cost stack entries, not Python frames per
+    # level: 600 digits reach over 100 terms under a recursion limit only
+    # 100 frames above this test's.
+    terms = []
+
+    def term(k):
+        terms.append(k)
+        q = Fraction(1, k + 1)
+        rest = ExactReal(Stream(lambda: term(k + 1).digits.force()))
+        return affine(q, 0, q, rest, ExactReal(constant(Digit.L)))
+
+    n = 600
+    x = term(1)
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        iv = x.to_interval(n)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert max(terms) > 100
+    # sum_{k=2}^{K} 1/k! <= e - 2 <= that sum + 2/(K+1)!
+    low = sum(Fraction(1, math.factorial(k)) for k in range(2, 301))
+    assert iv.lo <= low and low + Fraction(2, math.factorial(301)) <= iv.hi
+
+
+def test_threads_expanding_one_real_agree():
+    # Every thread grows the same node buffers; with a short switch
+    # interval they interleave inside the engine loop unless it is locked.
+    def chain():
+        x = from_rational(Fraction(1, 3))
+        for k in range(40):
+            x = affine(Fraction(1, 3), Fraction(1, 3), Fraction(1, 4), x, from_rational(Fraction(k % 7, 7)))
+        return x
+
+    lengths = (100, 400, 250, 400, 50, 399, 300, 400)
+    expected = chain().digit_string(max(lengths))
+    shared = chain()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            futures = [pool.submit(shared.digit_string, n) for n in lengths]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [expected[:n] for n in lengths]
