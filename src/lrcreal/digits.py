@@ -74,7 +74,43 @@ class Interval:
         return self.hi < other.lo or other.hi < self.lo
 
     def __str__(self):
-        return "[%s, %s]" % (self.lo, self.hi)
+        """``[lo, hi]`` as ``str`` prints each Fraction, at any size."""
+        return "[%s, %s]" % (_fraction_text(self.lo), _fraction_text(self.hi))
+
+
+#: Decimal digits per ``%d`` in ``_zero_padded``: below the smallest limit
+#: ``sys.set_int_max_str_digits`` accepts (640), so every setting renders.
+_BLOCK = 600
+
+
+def _zero_padded(n: int, width: int) -> str:
+    """``n`` (below 10**width) as exactly ``width`` decimal digits.
+
+    Python refuses to convert an int of more than a few thousand decimal
+    digits to text, so the low digits are split off in blocks of _BLOCK.
+    """
+    blocks = []
+    while width > _BLOCK:
+        n, low = divmod(n, 10 ** _BLOCK)
+        blocks.append("%0*d" % (_BLOCK, low))
+        width -= _BLOCK
+    return "%0*d" % (width, n) + "".join(reversed(blocks))
+
+
+def _int_text(n: int) -> str:
+    """``str(n)`` for ``n >= 0`` of any size.
+
+    A b-bit integer has at most b * 0.30103... + 1 decimal digits, so
+    padding to b * 31 // 100 + 1 digits and dropping the leading zeros
+    renders it exactly.
+    """
+    return _zero_padded(n, n.bit_length() * 31 // 100 + 1).lstrip("0") or "0"
+
+
+def _fraction_text(r: Fraction) -> str:
+    """``str(r)``: ``n`` for an integer, else ``n/d``, at any size."""
+    text = "-" * (r < 0) + _int_text(abs(r.numerator))
+    return text if r.denominator == 1 else text + "/" + _int_text(r.denominator)
 
 
 UNIT = Interval(Fraction(0), Fraction(1))

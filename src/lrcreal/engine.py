@@ -39,7 +39,10 @@ once. ``demand`` grows a buffer: ``_run`` is the engine loop, which steps
 nodes in turn on an explicit stack, resumes each from its saved
 coefficients and read index, fills leaves in place and asks a child for a
 proven lower bound on the digits its parent will read. Nesting depth
-costs stack entries, not Python frames. ``NodeStream`` is the ``Stream``
+costs stack entries, not Python frames. No engine node produces a digit
+that is not asked for; a rational leaf, which needs no engine, fills a
+block of digits with one big-integer division and so runs ahead of
+demand by less than one block. ``NodeStream`` is the ``Stream``
 view of a buffer. ``production_step`` and ``produce_stream`` run the
 same loop on ``AffineData``, a named tuple ``(a, a', b, b', c, c', v1, v2)``
 whose constructor checks the signs. A digit is its own weight (``Digit``
@@ -282,12 +285,25 @@ def engine_states(x: AffineData, normalize_steps: bool = True) -> Iterator[Tuple
 _L, _C, _R = Digit.L, Digit.C, Digit.R
 
 
+#: Digits a rational leaf adds at least per fill: one big-integer division
+#: yields them all, so a leaf runs ahead of demand by less than this.
+_FILL_BLOCK = 64
+
+#: A quotient bit as a digit: long division emits L for 0 and R for 1.
+_BIT_DIGIT = {"0": _L, "1": _R}
+
+
 class RationalNode:
     """The digits of ``num/den`` in [0, 1], by long division.
 
     With numerator state ``num`` over the fixed ``den``: emit L and double
     while ``2*num <= den``, else emit R and continue with ``2*num - den``.
-    Only L and R digits ever appear. A leaf: whoever reads it fills it.
+    So ``num`` stays in (0, den] once positive, ties go to L (1/2 is
+    LRRR...) and only L and R digits ever appear. ``fill`` does k steps
+    at once: the k-bit quotient q with ``num * 2**k - q*den`` in (0, den]
+    spells the digits, one bit each. A leaf: whoever reads it fills it,
+    a block of ``_FILL_BLOCK`` digits or more, so its buffer may run
+    ahead of what was asked by less than one block.
     """
 
     __slots__ = ("out", "num", "den")
@@ -299,16 +315,19 @@ class RationalNode:
         self.den = den
 
     def fill(self, n: int):
-        """Extend the buffer to ``n`` digits; never waits on another node."""
-        out, num, den = self.out, self.num, self.den
-        for _ in range(n - len(out)):
-            num *= 2
-            if num <= den:
-                out.append(_L)
-            else:
-                num -= den
-                out.append(_R)
-        self.num = num
+        """Extend the buffer to at least ``n`` digits and by at least one
+        block; never waits on another node."""
+        out = self.out
+        if n <= len(out):
+            return None
+        k = max(n - len(out), _FILL_BLOCK)
+        if self.num == 0:
+            out.extend([_L] * k)
+        else:
+            big = self.num << k
+            q = (big - 1) // self.den
+            self.num = big - q * self.den
+            out.extend(map(_BIT_DIGIT.__getitem__, format(q, "0%db" % k)))
         return None
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Union
 
-from .digits import Digit, Interval, _left_end, digits_to_str, prefix_interval
+from .digits import Digit, Interval, _left_end, _zero_padded, digits_to_str, prefix_interval
 # No query here refines Fraction intervals any more, but the benchmark's
 # tracer (bench/spans.py) wraps the ``reals.refine`` binding, so it stays.
 from .digits import refine  # noqa: F401
@@ -92,25 +92,6 @@ class ExactReal:
 
     def __repr__(self):
         return "ExactReal(%s...)" % self.digit_string(8)
-
-
-#: Decimal digits per ``%d`` in ``_zero_padded``: below the smallest limit
-#: ``sys.set_int_max_str_digits`` accepts (640), so every setting renders.
-_BLOCK = 600
-
-
-def _zero_padded(n: int, width: int) -> str:
-    """``n`` (below 10**width) as exactly ``width`` decimal digits.
-
-    Python refuses to convert an int of more than a few thousand decimal
-    digits to text, so the low digits are split off in blocks of _BLOCK.
-    """
-    blocks = []
-    while width > _BLOCK:
-        n, low = divmod(n, 10 ** _BLOCK)
-        blocks.append("%0*d" % (_BLOCK, low))
-        width -= _BLOCK
-    return "%0*d" % (width, n) + "".join(reversed(blocks))
 
 
 def _real(node) -> ExactReal:
@@ -196,25 +177,37 @@ def compare(x: ExactReal, y: ExactReal, max_depth: int) -> Union[str, Indistingu
     At depth n the intervals are [m_x, m_x + 2] / 2**(n + 1) and
     [m_y, m_y + 2] / 2**(n + 1), so only the gap g = m_y - m_x matters:
     x's interval lies wholly below y's when g > 2 and wholly above when
-    g < -2. Each digit pair maps g to 2g + k(dy) - k(dx). While the
-    intervals overlap |g| <= 2, so every step is constant work on a small
-    int and the whole comparison is linear in the depth reached. Digits are
-    demanded one depth at a time, so neither real is expanded past the
-    depth where the intervals separate.
+    g < -2. Each digit pair maps g to 2g + k(dy) - k(dx), so the digits
+    both buffers already hold, from depth n to e, map g to
+    g * 2**(e - n) + m(dys) - m(dxs), with m the left-end numerator of
+    ``_left_end``; one step reads that whole block. Separation is
+    monotone: if g >= 3 then 2g + k(dy) - k(dx) >= 4, and likewise for
+    g <= -3, so the sign at the end of a block is the sign at the first
+    depth inside it where the intervals separated. While they overlap
+    |g| <= 2, so the work is linear in the depth reached. A buffer that
+    is short is demanded to just one more depth, so a real computed by
+    the engine is never expanded past the depth where the intervals
+    separate; a rational's buffer runs ahead a block at a time anyway.
     """
     if max_depth < 0:
         raise ValueError("compare: max_depth must be >= 0")
     gap = 0
     nx, ny = x.node, y.node
     xs, ys = nx.out, ny.out
-    for depth in range(max_depth):
+    depth = 0
+    while depth < max_depth:
         if len(xs) <= depth:
             demand(nx, depth + 1)
         if len(ys) <= depth:
             demand(ny, depth + 1)
-        gap = 2 * gap + ys[depth] - xs[depth]
+        end = min(len(xs), len(ys), max_depth)
+        if end == depth + 1:  # the common case while an engine real is demanded
+            gap = 2 * gap + ys[depth] - xs[depth]
+        else:
+            gap = (gap << (end - depth)) + _left_end(ys[depth:end])[0] - _left_end(xs[depth:end])[0]
         if gap > 2:
             return LESS
         if gap < -2:
             return GREATER
+        depth = end
     return Indistinguishable(Fraction(1, 2 ** max_depth))

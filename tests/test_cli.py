@@ -22,6 +22,7 @@ from lrcreal.cli import (
 )
 from lrcreal.digits import prefix_interval, str_to_digits
 from lrcreal.errors import DomainError, ExprParseError
+from lrcreal.reals import from_rational
 
 
 def run_cli(*args):
@@ -248,6 +249,26 @@ def test_main_eval_interval_output(capsys):
     expr = "affine(1/3, 1/4, 1/8; 1/5, avg(1/3, 2/7))"
     assert main(["eval", expr, "--format", "interval", "--digits", "5"]) == 0
     assert capsys.readouterr().out == "[1/4, 9/32]\n"
+
+
+def test_main_eval_interval_past_int_str_limit(capsys):
+    # Python refuses to turn an int of more than 4300 decimal digits into
+    # text by default, and the endpoints at 20,000 digits have over 6,000.
+    # The output is read back in short chunks.
+    def parse_int(text):
+        value = 0
+        for i in range(0, len(text), 1000):
+            chunk = text[i:i + 1000]
+            value = value * 10 ** len(chunk) + int(chunk)
+        return value
+
+    assert main(["eval", "1/3", "--format", "interval", "--digits", "20000"]) == 0
+    lo, hi = (
+        Fraction(*map(parse_int, end.split("/")))
+        for end in capsys.readouterr().out.strip().strip("[]").split(", ")
+    )
+    iv = from_rational(Fraction(1, 3)).to_interval(20000)
+    assert (lo, hi) == (iv.lo, iv.hi)
 
 
 def test_main_evaluates_10000_deep_mixed_chain(capsys):

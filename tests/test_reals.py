@@ -5,12 +5,12 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import digits_then_constant, rand_fraction, rational_stream, refine_fold
 from lrcreal.digits import UNIT, Digit, digits_to_str, prefix_interval, refine
-from lrcreal.engine import AffineData, engine_states
+from lrcreal.engine import _FILL_BLOCK, AffineData, RationalNode, demand, engine_states
 from lrcreal.errors import DomainError
 from lrcreal.reals import (
     GREATER,
@@ -47,6 +47,40 @@ def test_from_rational_soundness():
         x = from_rational(r)
         for depth in (1, 7, 33, 64):
             assert x.to_interval(depth).contains(r)
+
+
+def long_division(num, den, n):
+    """The first ``n`` digits of num/den, one step at a time."""
+    ds = []
+    for _ in range(n):
+        num *= 2
+        if num <= den:
+            ds.append(Digit.L)
+        else:
+            num -= den
+            ds.append(Digit.R)
+    return ds
+
+
+@given(
+    st.integers(1, 10 ** 30).flatmap(lambda den: st.tuples(st.integers(0, den), st.just(den))),
+    st.lists(st.integers(0, 3 * _FILL_BLOCK), max_size=6),
+)
+@example((0, 1), [1, 70, 200])
+@example((1, 1), [1, 64, 0, 1])
+@example((1, 2), [63, 1, 1, 129])
+def test_rational_node_fills_in_blocks_like_long_division(fraction, steps):
+    # Each fill is one big-integer division over a block of digits; the
+    # buffer must hold the digit-at-a-time long division, and may run
+    # ahead of the demand by less than one block.
+    num, den = fraction
+    node = RationalNode(num, den)
+    n = 0
+    for step in steps:
+        n += step
+        demand(node, n)
+        assert n <= len(node.out) < n + _FILL_BLOCK
+        assert node.out == long_division(num, den, len(node.out))
 
 
 def test_from_rational_never_emits_c():
@@ -253,6 +287,54 @@ def test_compare_antisymmetry():
         y = from_rational(rand_fraction(rng))
         if compare(x, y, 24) == LESS:
             assert compare(y, x, 24) == GREATER
+
+
+def gap_loop(xs, ys, max_depth):
+    """``compare``'s verdict one digit pair at a time, and its depth."""
+    gap = 0
+    for depth in range(1, max_depth + 1):
+        gap = 2 * gap + ys[depth - 1] - xs[depth - 1]
+        if gap > 2:
+            return LESS, depth
+        if gap < -2:
+            return GREATER, depth
+    return Indistinguishable(Fraction(1, 2 ** max_depth)), max_depth
+
+
+def test_compare_stops_an_engine_partner_at_the_separating_depth():
+    # A rational's buffer runs a block ahead, so compare reads it in
+    # blocks; the engine real beside it must still be expanded exactly to
+    # the depth where the intervals separate, and not one digit further.
+    rng = random.Random(83)
+    for _ in range(300):
+        p, q = rand_fraction(rng), rand_fraction(rng)
+        if rng.random() < 0.5:
+            ca = cb = Fraction(1, 2)
+            cc = Fraction(0)
+        else:
+            ca, cb = Fraction(rng.randint(0, 3), 8), Fraction(rng.randint(0, 3), 8)
+            cc = Fraction(rng.randint(0, 4), 16)
+        value = ca * p + cb * q + cc
+        delta = rng.choice((0, 1, -1, 3)) * Fraction(1, 2 ** rng.randint(1, 150))
+        r = min(max(value + delta, Fraction(0)), Fraction(1))
+        max_depth = rng.randint(0, 200)
+
+        def fresh():
+            return from_rational(r), affine(ca, cb, cc, from_rational(p), from_rational(q))
+
+        x, y = fresh()
+        xs, ys = list(take(x.digits, max_depth)), list(take(y.digits, max_depth))
+        for swap in (False, True):
+            x, y = fresh()
+            if swap:
+                verdict, depth = gap_loop(ys, xs, max_depth)
+                assert compare(y, x, max_depth) == verdict
+            else:
+                verdict, depth = gap_loop(xs, ys, max_depth)
+                assert compare(x, y, max_depth) == verdict
+            if verdict in (LESS, GREATER):
+                assert len(y.node.out) == depth
+                assert len(x.node.out) >= depth
 
 
 def reference_stream(x, forced):
