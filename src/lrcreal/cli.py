@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+from .digits import _fraction_text, _text_int
 from .errors import DomainError, ExprParseError
 from .reals import ExactReal, affine, average, from_rational
 from .streams import fib_stream, increasing_to_depth, local_fib_to_depth, take
@@ -102,14 +103,16 @@ class _Parser:
 
     def _integer(self) -> int:
         self._skip_ws()
+        negative = self._peek() == "-"
+        if negative:
+            self.pos += 1
         start = self.pos
-        if self._peek() == "-":
-            self.pos += 1
-        if not self._peek().isdigit():
+        if not self._peek().isdecimal():
             self._fail("an integer")
-        while self._peek().isdigit():
+        while self._peek().isdecimal():
             self.pos += 1
-        return int(self.text[start:self.pos])
+        value = _text_int(self.text[start:self.pos])
+        return -value if negative else value
 
     def _rational(self) -> Fraction:
         num = self._integer()
@@ -118,7 +121,7 @@ class _Parser:
             self.pos += 1
             den = self._integer()
             if den == 0:
-                raise DomainError("rational with zero denominator: %d/0" % num)
+                raise DomainError("rational with zero denominator: %s/0" % _fraction_text(Fraction(num)))
             return Fraction(num, den)
         return Fraction(num)
 
@@ -160,11 +163,11 @@ class _Parser:
                     self._fail("'avg', 'add' or 'affine'")
                 calls.append(self._call(name))
                 continue
-            if not (ch.isdigit() or ch == "-"):
+            if not (ch.isdecimal() or ch == "-"):
                 self._fail("a rational literal, 'avg', 'add' or 'affine'")
             value = self._rational()
             if value < 0 or value > 1:
-                raise DomainError("literal %s outside [0, 1]" % value)
+                raise DomainError("literal %s outside [0, 1]" % _fraction_text(value))
             e = RatLit(value)
             # Close every call this operand completes.
             while calls:
@@ -197,12 +200,12 @@ def format_expr(e: Expr) -> str:
         if isinstance(item, str):
             parts.append(item)
         elif isinstance(item, RatLit):
-            parts.append(str(item.value))
+            parts.append(_fraction_text(item.value))
         elif isinstance(item, (Avg, Add)):
             parts.append("avg(" if isinstance(item, Avg) else "add(")
             todo += [")", item.right, ", ", item.left]
         elif isinstance(item, Affine):
-            parts.append("affine(%s, %s, %s; " % (item.ca, item.cb, item.cc))
+            parts.append("affine(%s, %s, %s; " % tuple(map(_fraction_text, (item.ca, item.cb, item.cc))))
             todo += [")", item.right, ", ", item.left]
         else:
             raise TypeError("not an Expr: %r" % (item,))
@@ -237,7 +240,7 @@ def build_real(e: Expr) -> ExactReal:
         elif isinstance(node, Add):
             value = lv + rv
             if value > 1:
-                raise DomainError("add: sum %s exceeds 1" % value)
+                raise DomainError("add: sum %s exceeds 1" % _fraction_text(value))
             built.append((affine(Fraction(1), Fraction(1), Fraction(0), left, right, checked=False), value))
         else:
             built.append((affine(node.ca, node.cb, node.cc, left, right), node.ca * lv + node.cb * rv + node.cc))

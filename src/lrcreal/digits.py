@@ -78,8 +78,9 @@ class Interval:
         return "[%s, %s]" % (_fraction_text(self.lo), _fraction_text(self.hi))
 
 
-#: Decimal digits per ``%d`` in ``_zero_padded``: below the smallest limit
-#: ``sys.set_int_max_str_digits`` accepts (640), so every setting renders.
+#: Decimal digits per block in ``_zero_padded`` and ``_text_int``: below the
+#: smallest limit ``sys.set_int_max_str_digits`` accepts (640), so every
+#: setting converts a block.
 _BLOCK = 600
 
 
@@ -105,6 +106,19 @@ def _int_text(n: int) -> str:
     renders it exactly.
     """
     return _zero_padded(n, n.bit_length() * 31 // 100 + 1).lstrip("0") or "0"
+
+
+def _text_int(text: str) -> int:
+    """``int(text)`` for a run of decimal digits of any length.
+
+    Python refuses to read more than a few thousand decimal digits at
+    once, so the run is read in blocks of _BLOCK.
+    """
+    value = 0
+    for i in range(0, len(text), _BLOCK):
+        block = text[i:i + _BLOCK]
+        value = value * 10 ** len(block) + int(block)
+    return value
 
 
 def _fraction_text(r: Fraction) -> str:

@@ -35,11 +35,14 @@ Reals are nodes of a graph, and each node keeps an append-only buffer
 and a ``StreamNode`` (over an arbitrary digit ``Stream``) are leaves; an
 ``EngineNode`` holds the six coefficients and two child nodes, and reads
 their buffers by index, so a child read by several parents is computed
-once. ``demand`` grows a buffer: ``_run`` is the engine loop, which steps
-nodes in turn on an explicit stack, resumes each from its saved
-coefficients and read index, fills leaves in place and asks a child for a
-proven lower bound on the digits its parent will read. Nesting depth
-costs stack entries, not Python frames. No engine node produces a digit
+once. Every node has one ``fill(n)``: a leaf grows in place and returns
+None or the engine node it waits on, and an engine node returns itself
+while it is short. ``demand`` grows a buffer: ``_run`` is the engine
+loop, which steps nodes in turn on an explicit stack, resumes each from
+its saved coefficients and read index, and asks its children for a
+proven lower bound on the digits it will read, computed from the live
+coefficients once they sum to at most 1. Nesting depth costs stack
+entries, not Python frames. No engine node produces a digit
 that is not asked for; a rational leaf, which needs no engine, fills a
 block of digits with one big-integer division and so runs ahead of
 demand by less than one block. ``NodeStream`` is the ``Stream``
@@ -307,7 +310,6 @@ class RationalNode:
     """
 
     __slots__ = ("out", "num", "den")
-    leaf = True
 
     def __init__(self, num: int, den: int):
         self.out = []
@@ -335,14 +337,14 @@ class StreamNode:
     """A leaf over an arbitrary digit ``Stream``: buffers the cells it forces.
 
     ``rest`` is the stream after the buffered digits. When ``rest`` is a
-    ``NodeStream`` over an engine node, forcing it would run that node
-    inside this call; ``fill`` hands the node back instead, so that a
-    chain of reals built lazily from streams also runs on the explicit
-    stack.
+    ``NodeStream``, ``fill`` first fills the node it reads: a leaf grows
+    in place, and an engine node, which forcing ``rest`` would run inside
+    this call, is handed back instead. So a chain of reals built lazily
+    from streams, through any number of stream leaves, also runs on the
+    explicit stack.
     """
 
     __slots__ = ("out", "rest")
-    leaf = True
 
     def __init__(self, stream: Stream):
         self.out = []
@@ -351,16 +353,17 @@ class StreamNode:
     def fill(self, n: int):
         """Extend the buffer to ``n`` digits.
 
-        Returns None when done, or ``(node, m)`` when the stream reads an
-        engine node that must hold m digits first.
+        Returns None when done, or ``(node, m)`` when the stream reads,
+        directly or through other leaves, an engine node that must hold m
+        digits first.
         """
         out = self.out
         while len(out) < n:
             rest = self.rest
-            if isinstance(rest, NodeStream) and not rest.node.leaf:
-                want = rest.index + n - len(out)
-                if len(rest.node.out) < want:
-                    return rest.node, want
+            if isinstance(rest, NodeStream):
+                blocked = rest.node.fill(rest.index + n - len(out))
+                if blocked is not None:
+                    return blocked
             digit, self.rest = rest.force()
             out.append(digit)
         return None
@@ -373,13 +376,11 @@ class EngineNode:
     consumed from each child; ``state`` is the six coefficients after
     them, with signs as ``AffineData`` checks them. The children are
     nodes, read by index into their ``out``, so a node read by several
-    parents is computed once. ``bounded`` records whether the coefficients
-    sum to at most 1, which every step preserves; ``demand`` uses it to
-    ask a child for more than one digit at a time.
+    parents is computed once. Like every node it has a ``fill``; only
+    ``_run`` steps it, so its ``fill`` names what to run.
     """
 
-    __slots__ = ("out", "state", "read", "left", "right", "normalize_steps", "bounded")
-    leaf = False
+    __slots__ = ("out", "state", "read", "left", "right", "normalize_steps")
 
     def __init__(self, a, a_den, b, b_den, c, c_den, left, right, normalize_steps: bool = True):
         self.out = []
@@ -388,7 +389,10 @@ class EngineNode:
         self.left = left
         self.right = right
         self.normalize_steps = normalize_steps
-        self.bounded = a * b_den * c_den + b * a_den * c_den + c * a_den * b_den <= a_den * b_den * c_den
+
+    def fill(self, n: int):
+        """None when the buffer holds ``n`` digits, else ``(self, n)``."""
+        return (self, n) if len(self.out) < n else None
 
 
 #: Serializes buffer growth: two threads extending one node at once would
@@ -400,14 +404,14 @@ _LOCK = RLock()
 def demand(node, n: int):
     """Extend ``node``'s buffer to at least ``n`` digits.
 
-    Leaves fill themselves; an engine node runs in ``_run``, and so does
-    an engine node a leaf waits on.
+    ``fill`` grows a leaf in place, and ``_run`` runs whatever engine
+    node ``fill`` hands back: the node itself, or one a leaf waits on.
     """
     if len(node.out) >= n:
         return
     with _LOCK:
         while len(node.out) < n:
-            waiting = node.fill(n) if node.leaf else (node, n)
+            waiting = node.fill(n)
             if waiting is not None:
                 _run(*waiting)
 
@@ -417,21 +421,27 @@ def _run(node: EngineNode, want: int):
 
     Nodes take turns on an explicit stack of ``(node, digits wanted)``.
     The current node steps until it holds the digits wanted, and its
-    parent resumes, or until an engine child must grow first: then its
-    state is saved and the child becomes current. Leaf children are
-    filled in place, unless they wait on an engine node, which then
-    becomes current. Nesting depth costs stack entries, not Python frames.
+    parent resumes, or until a child must grow first. A child's ``fill``
+    grows a leaf in place, or hands back the engine node that must grow
+    first, the child itself or one a leaf waits on: then the current
+    node's state is saved and that node becomes current. Nesting depth
+    costs stack entries, not Python frames.
 
-    A blocked node asks its child for a proven lower bound on the input
-    digits it reads before its wanted digits, so no child produces a digit
-    the lazy stream semantics would not. Unbounded states can emit R with
-    no consumption, so they ask for one digit. A bounded state keeps
-    a/a' + b/b' + c/c' <= 1, so each test that emits (R: c/c' >= 1/2;
-    L: the sum <= 1/2; C: the sum <= 3/4 and c/c' >= 1/4) implies
-    s = a/a' + b/b' <= 1/2. An emission doubles s and a consumption halves
-    it, so k more digits need m more consumptions with
-    s * 2**(k - 1 - m) <= 1/2. With N = a*b' + b*a' and D = a'*b',
-    s > 2**(bitlen(N) - bitlen(D) - 1), hence m >= k + bitlen(N) - bitlen(D).
+    A blocked node asks its children for a proven lower bound on the
+    input digits it reads before its wanted digits, so no child produces
+    a digit the lazy stream semantics would not. The bound reads the live
+    coefficients. Let T = a/a' + b/b' + c/c' and s = a/a' + b/b'. Once
+    T <= 1, no step raises T above 1: R fires when c/c' >= 1/2 and gives
+    2T - 1; L needs T <= 1/2 and gives 2T; C needs T <= 3/4 and gives
+    2T - 1/2; a consumption adds at most s/2 to c/c' and halves s. So from
+    any state with T <= 1, whatever the node started as, each emission
+    needs s <= 1/2 (R: c/c' >= 1/2; L: T <= 1/2; C: T <= 3/4 and
+    c/c' >= 1/4). An emission doubles s and a consumption halves it, so
+    k more digits need m more consumptions with s * 2**(k - 1 - m) <= 1/2.
+    With N = a*b' + b*a' and D = a'*b', s > 2**(bitlen(N) - bitlen(D) - 1),
+    hence m >= k + bitlen(N) - bitlen(D). A state with T > 1, such as an
+    unchecked ``add`` before its sum falls to 1, can emit R with no
+    consumption, so it asks for one digit.
 
     The steps are the ones ``engine_states`` takes: the tests of
     ``_choose``, the carry of ``_consume`` and the reductions of
@@ -476,16 +486,11 @@ def _run(node: EngineNode, want: int):
                 if digit is None:
                     if i == ready:
                         more = 1
-                        if node.bounded:
+                        if a * b_den * c_den + b * a_den * c_den + c * a_den * b_den <= a_den * b_den * c_den:
                             more = want - produced + (a * b_den + b * a_den).bit_length() - (a_den * b_den).bit_length()
                             if more < 1:
                                 more = 1
-                        if len(left_out) <= i:
-                            blocked = left.fill(i + more) if left.leaf else (left, i + more)
-                        if len(right_out) <= i:
-                            waiting = right.fill(i + more) if right.leaf else (right, i + more)
-                            if blocked is None:
-                                blocked = waiting
+                        blocked = left.fill(i + more) or right.fill(i + more)
                         if blocked is not None:
                             break
                         ready = len(left_out)

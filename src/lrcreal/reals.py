@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Union
 
-from .digits import Digit, Interval, _left_end, _zero_padded, digits_to_str, prefix_interval
+from .digits import Digit, Interval, _fraction_text, _int_text, _left_end, _zero_padded, digits_to_str, prefix_interval
 # No query here refines Fraction intervals any more, but the benchmark's
 # tracer (bench/spans.py) wraps the ``reals.refine`` binding, so it stays.
 from .digits import refine  # noqa: F401
@@ -108,7 +108,7 @@ def from_rational(r: Fraction) -> ExactReal:
     """
     r = Fraction(r)
     if r < 0 or r > 1:
-        raise DomainError("from_rational needs a value in [0, 1], got %s" % r)
+        raise DomainError("from_rational needs a value in [0, 1], got %s" % _fraction_text(r))
     return _real(RationalNode(r.numerator, r.denominator))
 
 
@@ -140,7 +140,7 @@ def affine(
         raise DomainError("affine coefficients must be non-negative")
     if checked and ca + cb + cc > 1:
         raise DomainError(
-            "checked affine needs ca + cb + cc <= 1, got %s" % (ca + cb + cc)
+            "checked affine needs ca + cb + cc <= 1, got %s" % _fraction_text(ca + cb + cc)
         )
     return _real(EngineNode(
         ca.numerator, ca.denominator,
@@ -165,6 +165,13 @@ class Indistinguishable:
     """
 
     resolution: Fraction
+
+    def __repr__(self):
+        """The dataclass's own text, at any size of ``resolution``."""
+        r = self.resolution
+        return "Indistinguishable(resolution=Fraction(%s%s, %s))" % (
+            "-" * (r < 0), _int_text(abs(r.numerator)), _int_text(r.denominator)
+        )
 
 
 def compare(x: ExactReal, y: ExactReal, max_depth: int) -> Union[str, Indistinguishable]:

@@ -41,6 +41,8 @@ def test_parse_examples():
         RatLit(Fraction(1, 3)), RatLit(Fraction(1)),
     )
     assert parse_expr("  1 / 2 ") == RatLit(Fraction(1, 2))
+    # any decimal digit int() reads, Arabic-Indic ones included
+    assert parse_expr("\u0663/\u0664") == RatLit(Fraction(3, 4))
 
 
 def test_parse_unclosed_call_reports_position():
@@ -63,6 +65,15 @@ def test_parse_errors():
         parse_expr("-1/4")
     with pytest.raises(DomainError):
         parse_expr("1/0")
+    # superscripts pass str.isdigit, but int() cannot read them
+    for text, position, expected in (
+        ("\u00b2", 1, "a rational literal, 'avg', 'add' or 'affine'"),
+        ("avg(1/3, \u00b9/2)", 10, "a rational literal, 'avg', 'add' or 'affine'"),
+        ("1/\u00b2", 3, "an integer"),
+    ):
+        with pytest.raises(ExprParseError) as err:
+            parse_expr(text)
+        assert (err.value.position, err.value.expected) == (position, expected)
 
 
 def rand_expr(rng, depth):
@@ -229,7 +240,11 @@ def test_fib_command():
 
 def test_main_in_process_exit_codes():
     assert main(["eval", "1/3", "--digits", "6"]) == 0
+    assert main(["eval", "\u0663/\u0664", "--digits", "6"]) == 0
     assert main(["eval", "avg(1/3"]) == 1
+    assert main(["eval", "\u00b2"]) == 1
+    assert main(["eval", "avg(1/3, \u00b9/2)"]) == 1
+    assert main(["eval", "1/\u00b2"]) == 1
     assert main(["eval", "3/2"]) == 2
     assert main(["eval", "add(3/4, 3/4)"]) == 2
     # add's verdict does not depend on how many digits are asked for
@@ -269,6 +284,35 @@ def test_main_eval_interval_past_int_str_limit(capsys):
     )
     iv = from_rational(Fraction(1, 3)).to_interval(20000)
     assert (lo, hi) == (iv.lo, iv.hi)
+
+
+#: 5000 threes: more decimal digits than Python converts to or from text
+#: by default (4300).
+THREES = "3" * 5000
+
+
+def test_main_reads_literals_past_int_str_limit(capsys):
+    assert main(["eval", "1/" + THREES, "--digits", "8"]) == 0
+    assert capsys.readouterr().out == from_rational(Fraction(1, (10 ** 5000 - 1) // 3)).digit_string(8) + "\n"
+    assert main(["eval", "1" * 5000 + "/" + THREES, "--digits", "64"]) == 0
+    assert capsys.readouterr().out == from_rational(Fraction(1, 3)).digit_string(64) + "\n"
+    e = parse_expr("affine(1/%s, 0, 0; %s/%s0, 1)" % (THREES, THREES, THREES))
+    assert parse_expr(format_expr(e)) == e
+
+
+def test_domain_errors_past_int_str_limit(capsys):
+    # The messages render big literals in full instead of failing on them.
+    assert main(["eval", THREES + "/1"]) == 2
+    assert capsys.readouterr().err == "error: literal %s outside [0, 1]\n" % THREES
+    assert main(["eval", THREES + "/0"]) == 2
+    assert capsys.readouterr().err == "error: rational with zero denominator: %s/0\n" % THREES
+    assert main(["eval", "add(1, 1/%s)" % THREES]) == 2
+    assert capsys.readouterr().err == "error: add: sum %s4/%s exceeds 1\n" % (THREES[1:], THREES)
+    # text below the limit is str(Fraction)'s, byte for byte
+    assert main(["eval", "avg(-3/6, 0)"]) == 2
+    assert capsys.readouterr().err == "error: literal -1/2 outside [0, 1]\n"
+    assert main(["eval", "avg(-5/0, 0)"]) == 2
+    assert capsys.readouterr().err == "error: rational with zero denominator: -5/0\n"
 
 
 def test_main_evaluates_10000_deep_mixed_chain(capsys):

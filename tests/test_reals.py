@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from helpers import digits_then_constant, rand_fraction, rational_stream, refine_fold
 from lrcreal.digits import UNIT, Digit, digits_to_str, prefix_interval, refine
-from lrcreal.engine import _FILL_BLOCK, AffineData, RationalNode, demand, engine_states
+from lrcreal.engine import _FILL_BLOCK, AffineData, RationalNode, StreamNode, demand, engine_states
 from lrcreal.errors import DomainError
 from lrcreal.reals import (
     GREATER,
@@ -207,6 +207,24 @@ def test_affine_guards():
         affine(Fraction(-1, 2), Fraction(0), Fraction(0), x, x)
 
 
+def test_domain_errors_past_int_str_limit():
+    # Python refuses to turn an int of more than 4300 decimal digits into
+    # text by default; the messages render such values anyway.
+    big = (10 ** 5000 - 1) // 3
+    threes = "3" * 5000
+    with pytest.raises(DomainError) as err:
+        from_rational(Fraction(big, 2))
+    assert str(err.value) == "from_rational needs a value in [0, 1], got %s/2" % threes
+    x = from_rational(Fraction(1, 3))
+    with pytest.raises(DomainError) as err:
+        affine(Fraction(1), Fraction(1, big), Fraction(0), x, x)
+    assert str(err.value) == "checked affine needs ca + cb + cc <= 1, got %s4/%s" % (threes[1:], threes)
+    # below the limit the text is str(Fraction)'s
+    with pytest.raises(DomainError) as err:
+        from_rational(Fraction(-3, 6))
+    assert str(err.value) == "from_rational needs a value in [0, 1], got -1/2"
+
+
 def test_affine_soundness_checked():
     rng = random.Random(73)
     for _ in range(60):
@@ -230,6 +248,19 @@ def test_compare():
     lr = ExactReal(cons(Digit.L, constant(Digit.R)))
     rl = ExactReal(cons(Digit.R, constant(Digit.L)))
     assert compare(lr, rl, 20) == Indistinguishable(Fraction(1, 2 ** 20))
+
+
+def test_indistinguishable_repr_at_any_depth():
+    x = from_rational(Fraction(1, 3))
+    assert repr(compare(x, x, 70)) == "Indistinguishable(resolution=Fraction(1, 1180591620717411303424))"
+    # 2**-20000 has a denominator of over 6,000 decimal digits
+    text = repr(compare(x, x, 20000))
+    prefix, den = text[:-2].split(", ")
+    assert (prefix, text[-2:]) == ("Indistinguishable(resolution=Fraction(1", "))")
+    value = 0
+    for i in range(0, len(den), 1000):
+        value = value * 10 ** len(den[i:i + 1000]) + int(den[i:i + 1000])
+    assert value == 2 ** 20000
 
 
 def test_compare_spellings_of_half_deep():
@@ -467,6 +498,87 @@ def test_series_built_from_streams_runs_on_the_explicit_stack():
     # sum_{k=2}^{K} 1/k! <= e - 2 <= that sum + 2/(K+1)!
     low = sum(Fraction(1, math.factorial(k)) for k in range(2, 301))
     assert iv.lo <= low and low + Fraction(2, math.factorial(301)) <= iv.hi
+
+
+def test_series_through_stream_leaves_over_stream_leaves_runs_on_the_explicit_stack():
+    # The series above, with each term's input read through two stream
+    # leaves, the outer one over the inner one's digits. Filling the outer
+    # leaf fills the inner one in place, and the engine node the inner one
+    # waits on is handed back to the loop, so depth still costs no frames.
+    terms = []
+
+    def term(k):
+        terms.append(k)
+        q = Fraction(1, k + 1)
+        inner = ExactReal(Stream(lambda: term(k + 1).digits.force()))
+        rest = ExactReal(Stream(lambda: inner.digits.force()))
+        return affine(q, 0, q, rest, ExactReal(constant(Digit.L)))
+
+    n = 600
+    x = term(1)
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        iv = x.to_interval(n)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert max(terms) > 100
+    low = sum(Fraction(1, math.factorial(k)) for k in range(2, 301))
+    assert iv.lo <= low and low + Fraction(2, math.factorial(301)) <= iv.hi
+
+
+def long_division_stream(r):
+    """The digits of ``r`` as an ``unfold``, one long-division step per cell."""
+    den = r.denominator
+
+    def step(num):
+        num *= 2
+        return (Digit.L, num) if num <= den else (Digit.R, num - den)
+
+    return unfold(step, r.numerator)
+
+
+def test_add_asks_for_many_digits_once_its_live_sum_is_at_most_1(monkeypatch):
+    # An unchecked add starts with coefficient sum 2 and may emit R without
+    # reading, so it asks its children for one digit at a time. Once the
+    # live sum a/a' + b/b' + c/c' is at most 1, every step keeps it there
+    # and the proven multi-digit bound applies: 1/3 + 1/6 fills its stream
+    # leaf in a couple of calls. A sum of exactly 1 never gets there and
+    # keeps asking one digit at a time. Either way the digits, and the
+    # input digits the leaf buffers, are those of engine_states over
+    # memoized streams: the bound never asks for a digit the lazy
+    # semantics would not read.
+    calls = [0]
+    fill = StreamNode.fill
+
+    def counted_fill(self, n):
+        calls[0] += 1
+        return fill(self, n)
+
+    monkeypatch.setattr(StreamNode, "fill", counted_fill)
+    n = 300
+    for p, q in ((Fraction(1, 3), Fraction(1, 6)), (Fraction(2, 7), Fraction(5, 7))):
+        expected, reads = [], 0
+        state = AffineData(1, 1, 1, 1, 0, 1, long_division_stream(p), long_division_stream(q))
+        for digit, _ in engine_states(state):
+            if digit is None:
+                reads += 1
+            else:
+                expected.append(digit)
+                if len(expected) == n:
+                    break
+        calls[0] = 0
+        x = ExactReal(long_division_stream(p))
+        z = affine(1, 1, 0, x, from_rational(q), checked=False)
+        assert z.digit_string(n) == digits_to_str(expected)
+        assert len(x.node.out) == reads
+        if p + q < 1:
+            assert reads == 301 and calls[0] <= 3
+        else:
+            assert calls[0] >= reads
 
 
 def test_threads_expanding_one_real_agree():
