@@ -54,7 +54,9 @@ class Interval:
 
     def __post_init__(self):
         if self.lo > self.hi:
-            raise ValueError("interval endpoints out of order: %s > %s" % (self.lo, self.hi))
+            raise ValueError(
+                "interval endpoints out of order: %s > %s" % (_fraction_text(self.lo), _fraction_text(self.hi))
+            )
 
     @property
     def width(self) -> Fraction:
@@ -76,6 +78,10 @@ class Interval:
     def __str__(self):
         """``[lo, hi]`` as ``str`` prints each Fraction, at any size."""
         return "[%s, %s]" % (_fraction_text(self.lo), _fraction_text(self.hi))
+
+    def __repr__(self):
+        """The dataclass's own text, at any size of the endpoints."""
+        return "Interval(lo=%s, hi=%s)" % (_fraction_repr(self.lo), _fraction_repr(self.hi))
 
 
 #: Decimal digits per block in ``_zero_padded`` and ``_text_int``: below the
@@ -125,6 +131,11 @@ def _fraction_text(r: Fraction) -> str:
     """``str(r)``: ``n`` for an integer, else ``n/d``, at any size."""
     text = "-" * (r < 0) + _int_text(abs(r.numerator))
     return text if r.denominator == 1 else text + "/" + _int_text(r.denominator)
+
+
+def _fraction_repr(r: Fraction) -> str:
+    """``repr(r)``, at any size."""
+    return "Fraction(%s%s, %s)" % ("-" * (r < 0), _int_text(abs(r.numerator)), _int_text(r.denominator))
 
 
 UNIT = Interval(Fraction(0), Fraction(1))

@@ -1,8 +1,8 @@
 """Digit-producing engine for (a/a')*v1 + (b/b')*v2 + c/c' on [0, 1].
 
-The engine holds six non-negative integer coefficients (denominators
-strictly positive) and two input digit streams, and alternates two kinds
-of step:
+The engine's state is three coefficients a/a', b/b' and c/c'
+(numerators non-negative, denominators strictly positive) and two input
+digit streams, and it alternates two kinds of step:
 
 * production: when the coefficients alone prove the value sits in the
   left, right or centered half of the current interval, emit that digit
@@ -33,26 +33,33 @@ for any positive-coefficient state.
 Reals are nodes of a graph, and each node keeps an append-only buffer
 ``out`` of the digits it has produced. A ``RationalNode`` (long division)
 and a ``StreamNode`` (over an arbitrary digit ``Stream``) are leaves; an
-``EngineNode`` holds the six coefficients and two child nodes, and reads
-their buffers by index, so a child read by several parents is computed
-once. Every node has one ``fill(n)``: a leaf grows in place and returns
-None or the engine node it waits on, and an engine node returns itself
-while it is short. ``demand`` grows a buffer: ``_run`` is the engine
-loop, which steps nodes in turn on an explicit stack, resumes each from
-its saved coefficients and read index, and asks its children for a
-proven lower bound on the digits it will read, computed from the live
-coefficients once they sum to at most 1. Nesting depth costs stack
-entries, not Python frames. No engine node produces a digit
-that is not asked for; a rational leaf, which needs no engine, fills a
-block of digits with one big-integer division and so runs ahead of
-demand by less than one block. ``NodeStream`` is the ``Stream``
-view of a buffer. ``production_step`` and ``produce_stream`` run the
-same loop on ``AffineData``, a named tuple ``(a, a', b, b', c, c', v1, v2)``
-whose constructor checks the signs. A digit is its own weight (``Digit``
-is an ``IntEnum``). ``engine_states`` is the step-at-a-time reference
-that tests compare the loop against: it yields a checked ``AffineData``
-after every step, built from the same helpers that ``decide``,
-``prod_*``, ``consume`` and ``normalize`` apply to a single state. All
+``EngineNode`` holds its state and two child nodes, and reads their
+buffers by index, so a child read by several parents is computed once.
+Every node has one ``fill(n)``: a leaf grows in place and returns None or
+the engine node it waits on, and an engine node returns itself while it
+is short. ``demand`` grows a buffer: ``_run`` is the engine loop, which
+steps nodes in turn on an explicit stack, resumes each from its saved
+state and read index, and asks its children for a proven lower bound on
+the digits it will read, computed from the live state once its
+coefficients sum to at most 1. Nesting depth costs stack entries, not
+Python frames. No engine node produces a digit that is not asked for; a
+rational leaf, which needs no engine, fills a block of digits with one
+big-integer division and so runs ahead of demand by less than one block.
+``NodeStream`` is the ``Stream`` view of a buffer.
+
+The loop keeps an engine node's state as four integers ``(A, B, C, D)``,
+the value ``(A*v1 + B*v2 + C) / D``: the three pairs over one common
+denominator, which is where every test and rewrite above compares them
+anyway. It normalizes by shifting out common factors of two, with no
+``gcd`` per step (see ``_run``). ``production_step`` and
+``produce_stream`` run the same loop from ``AffineData``, a named tuple
+``(a, a', b, b', c, c', v1, v2)`` whose constructor checks the signs. A
+digit is its own weight (``Digit`` is an ``IntEnum``). ``engine_states``
+is the step-at-a-time reference that tests compare the loop against: it
+yields a checked ``AffineData`` after every step, built from the same
+helpers that ``decide``, ``prod_*``, ``consume`` and ``normalize`` apply
+to a single state, and it consumes with ``_carry``, the loop's own
+consumption formula, on the pairs put over the denominator a'b'c'. All
 tests and rewrites are exact integer arithmetic; nothing here touches
 floating point.
 """
@@ -61,7 +68,7 @@ from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 from functools import partial
-from math import gcd
+from math import gcd, lcm
 from threading import RLock
 from typing import Iterator, Optional, Tuple
 
@@ -142,21 +149,28 @@ def state_value(x: AffineData, p: Fraction, q: Fraction) -> Fraction:
     )
 
 
-def _choose(a, a_den, b, b_den, c, c_den) -> Optional[Digit]:
-    """The digit the coefficients justify emitting, or None to consume.
+def _common(a, a_den, b, b_den, c, c_den):
+    """The state over the common denominator a'b'c': ``(A, B, C, D)``.
+
+    The value is ``(A*v1 + B*v2 + C) / D``: the four integers the engine
+    loop keeps, here for one pair-form state.
+    """
+    return a * b_den * c_den, b * a_den * c_den, c * a_den * b_den, a_den * b_den * c_den
+
+
+def _choose(A, B, C, D) -> Optional[Digit]:
+    """The digit the state ``(A*v1 + B*v2 + C) / D`` justifies, or None to consume.
 
     Tests R, then L, then C. The tests overlap (a state can pass both L
     and C); the fixed order makes the output deterministic. All three are
-    scale-invariant in each coefficient pair, so the choice commutes with
-    normalization.
+    scale-invariant, so the choice commutes with normalization.
     """
-    if c_den <= 2 * c:
+    if D <= 2 * C:
         return Digit.R
-    weighted = a * b_den * c_den + b * a_den * c_den + a_den * b_den * c
-    den_prod = a_den * b_den * c_den
-    if 2 * weighted <= den_prod:
+    total = A + B + C
+    if 2 * total <= D:
         return Digit.L
-    if 4 * weighted <= 3 * den_prod and c_den <= 4 * c:
+    if 4 * total <= 3 * D and D <= 4 * C:
         return Digit.C
     return None
 
@@ -166,26 +180,25 @@ def _emit(digit, a, a_den, b, b_den, c, c_den):
     return 2 * a, a_den, 2 * b, b_den, 4 * c - digit * c_den, 2 * c_den
 
 
-def _carry(d1: Digit, d2: Digit, a, a_den, b, b_den, c, c_den):
-    """New constant term after absorbing one digit from each input.
+def _carry(d1: Digit, d2: Digit, A, B, C):
+    """New constant numerator after absorbing one digit from each input.
 
-    Reading digit d turns an input value p into p'/2 + k(d)/4, so the
-    absorbed digits add the quarter-steps k1*a/(4a') and k2*b/(4b') to
-    c/c'; over the common denominator 4a'b'c' that is
-    ``4c*a'b' + k1*a*b'c' + k2*b*a'c'``.
+    Reading digit d turns an input value p into p'/2 + k(d)/4, so over
+    the common denominator D the absorbed digits add the quarter-steps
+    k1*A/4 and k2*B/4 to C; over 4D the new constant is
+    ``4C + k1*A + k2*B``. The one consumption formula: the engine loop
+    applies it to its own state, and ``_consume`` to a pair-form state
+    put over the common denominator a'b'c'.
     """
-    return (
-        4 * c * a_den * b_den + d1 * a * b_den * c_den + d2 * b * a_den * c_den,
-        4 * a_den * b_den * c_den,
-    )
+    return 4 * C + d1 * A + d2 * B
 
 
 def _consume(a, a_den, b, b_den, c, c_den, v1, v2):
     """Read one digit from each input; both input denominators double."""
     d1, v1 = v1.force()
     d2, v2 = v2.force()
-    c, c_den = _carry(d1, d2, a, a_den, b, b_den, c, c_den)
-    return a, 2 * a_den, b, 2 * b_den, c, c_den, v1, v2
+    A, B, C, D = _common(a, a_den, b, b_den, c, c_den)
+    return a, 2 * a_den, b, 2 * b_den, _carry(d1, d2, A, B, C), 4 * D, v1, v2
 
 
 def _reduce(a, a_den, b, b_den, c, c_den):
@@ -198,7 +211,7 @@ def _reduce(a, a_den, b, b_den, c, c_den):
 
 def decide(x: AffineData) -> Decision:
     """Which digit the coefficients justify emitting, if any (see ``_choose``)."""
-    digit = _choose(*x.coefficients)
+    digit = _choose(*_common(*x.coefficients))
     return Decision.CONSUME if digit is None else Decision(str(digit))
 
 
@@ -272,7 +285,7 @@ def engine_states(x: AffineData, normalize_steps: bool = True) -> Iterator[Tuple
     """
     while True:
         a, a_den, b, b_den, c, c_den, v1, v2 = x
-        digit = _choose(a, a_den, b, b_den, c, c_den)
+        digit = _choose(*_common(a, a_den, b, b_den, c, c_den))
         if digit is None:
             a, a_den, b, b_den, c, c_den, v1, v2 = _consume(*x)
         else:
@@ -373,18 +386,26 @@ class EngineNode:
     """The engine on (a/a_den)*left + (b/b_den)*right + c/c_den, resumable.
 
     ``out`` holds the digits produced so far and ``read`` the input digits
-    consumed from each child; ``state`` is the six coefficients after
-    them, with signs as ``AffineData`` checks them. The children are
-    nodes, read by index into their ``out``, so a node read by several
-    parents is computed once. Like every node it has a ``fill``; only
-    ``_run`` steps it, so its ``fill`` names what to run.
+    consumed from each child. ``state`` is the four integers ``(A, B, C,
+    D)`` after them, the value ``(A*left + B*right + C) / D``: the three
+    pairs over one denominator, the least common multiple of theirs, and
+    with ``normalize_steps`` divided by the gcd of all four. Steps scale
+    A, B and D by powers of two, so only C can turn negative, and the
+    engine loop checks ``C >= 0``. The children are nodes, read by index into their ``out``, so a node read
+    by several parents is computed once. Like every node it has a
+    ``fill``; only ``_run`` steps it, so its ``fill`` names what to run.
     """
 
     __slots__ = ("out", "state", "read", "left", "right", "normalize_steps")
 
     def __init__(self, a, a_den, b, b_den, c, c_den, left, right, normalize_steps: bool = True):
         self.out = []
-        self.state = a, a_den, b, b_den, c, c_den
+        den = lcm(a_den, b_den, c_den)
+        state = a * (den // a_den), b * (den // b_den), c * (den // c_den), den
+        if normalize_steps:
+            g = gcd(*state)
+            state = tuple(v // g for v in state)
+        self.state = state
         self.read = 0
         self.left = left
         self.right = right
@@ -427,26 +448,40 @@ def _run(node: EngineNode, want: int):
     node's state is saved and that node becomes current. Nesting depth
     costs stack entries, not Python frames.
 
+    A step on the state ``(A*v1 + B*v2 + C) / D``:
+
+    * R when ``D <= 2C``, giving ``(2A, 2B, 2C - D, D)``;
+    * L when ``2(A + B + C) <= D``, giving ``(2A, 2B, 2C, D)``;
+    * C when ``4(A + B + C) <= 3D`` and ``D <= 4C``, giving
+      ``(4A, 4B, 4C - D, 2D)``;
+    * else consume, giving ``(2A, 2B, _carry(d1, d2, A, B, C), 4D)``.
+
+    These are the tests of ``_choose`` and the rewrites of ``_emit`` and
+    ``_consume`` on one common denominator. With ``normalize_steps``,
+    each step then shifts all four right by their common trailing zero
+    bits. No odd prime can divide all four: each step is an integer
+    matrix with a power-of-two determinant, so an odd prime dividing the
+    new four divides the old four, and ``EngineNode`` starts from four
+    with gcd 1. So the strip keeps the state fully reduced without a
+    ``gcd``. Every state inside a consumption run gets the sign check
+    ``C >= 0``, raising ``DomainError`` as ``AffineData`` does.
+
     A blocked node asks its children for a proven lower bound on the
     input digits it reads before its wanted digits, so no child produces
     a digit the lazy stream semantics would not. The bound reads the live
-    coefficients. Let T = a/a' + b/b' + c/c' and s = a/a' + b/b'. Once
-    T <= 1, no step raises T above 1: R fires when c/c' >= 1/2 and gives
-    2T - 1; L needs T <= 1/2 and gives 2T; C needs T <= 3/4 and gives
-    2T - 1/2; a consumption adds at most s/2 to c/c' and halves s. So from
-    any state with T <= 1, whatever the node started as, each emission
-    needs s <= 1/2 (R: c/c' >= 1/2; L: T <= 1/2; C: T <= 3/4 and
-    c/c' >= 1/4). An emission doubles s and a consumption halves it, so
-    k more digits need m more consumptions with s * 2**(k - 1 - m) <= 1/2.
-    With N = a*b' + b*a' and D = a'*b', s > 2**(bitlen(N) - bitlen(D) - 1),
-    hence m >= k + bitlen(N) - bitlen(D). A state with T > 1, such as an
-    unchecked ``add`` before its sum falls to 1, can emit R with no
-    consumption, so it asks for one digit.
+    state. Let T = (A + B + C)/D and s = (A + B)/D. Once T <= 1, no step
+    raises T above 1: R fires when C/D >= 1/2 and gives 2T - 1; L needs
+    T <= 1/2 and gives 2T; C needs T <= 3/4 and gives 2T - 1/2; a
+    consumption adds at most s/2 to C/D and halves s. So from any state
+    with T <= 1, whatever the node started as, each emission needs
+    s <= 1/2 (R: C/D >= 1/2; L: T <= 1/2; C: T <= 3/4 and C/D >= 1/4).
+    An emission doubles s and a consumption halves it, so k more digits
+    need m more consumptions with s * 2**(k - 1 - m) <= 1/2. As
+    s > 2**(bitlen(A + B) - bitlen(D) - 1), m >= k + bitlen(A + B) -
+    bitlen(D). A state with T > 1, such as an unchecked ``add`` before
+    its sum falls to 1, can emit R with no consumption, so it asks for
+    one digit.
 
-    The steps are the ones ``engine_states`` takes: the tests of
-    ``_choose``, the carry of ``_consume`` and the reductions of
-    ``_reduce``, inline on local integers. Every state inside a
-    consumption run gets ``AffineData``'s sign check without being built.
     If anything raises, the current node drops the digits it produced
     since it last became current, so its buffer and saved state agree.
     """
@@ -458,7 +493,7 @@ def _run(node: EngineNode, want: int):
     while True:
         out = node.out
         start = produced = len(out)
-        a, a_den, b, b_den, c, c_den = node.state
+        A, B, C, D = node.state
         i = node.read
         left, right = node.left, node.right
         left_out, right_out = left.out, right.out
@@ -472,22 +507,21 @@ def _run(node: EngineNode, want: int):
                 if resumed:
                     resumed = False
                     digit = None
-                elif c_den <= 2 * c:
+                elif D <= 2 * C:
                     digit = _R
                 else:
-                    weighted = a * b_den * c_den + b * a_den * c_den + a_den * b_den * c
-                    den_prod = a_den * b_den * c_den
-                    if 2 * weighted <= den_prod:
+                    total = A + B + C
+                    if 2 * total <= D:
                         digit = _L
-                    elif 4 * weighted <= 3 * den_prod and c_den <= 4 * c:
+                    elif 4 * total <= 3 * D and D <= 4 * C:
                         digit = _C
                     else:
                         digit = None
                 if digit is None:
                     if i == ready:
                         more = 1
-                        if a * b_den * c_den + b * a_den * c_den + c * a_den * b_den <= a_den * b_den * c_den:
-                            more = want - produced + (a * b_den + b * a_den).bit_length() - (a_den * b_den).bit_length()
+                        if A + B + C <= D:
+                            more = want - produced + (A + B).bit_length() - D.bit_length()
                             if more < 1:
                                 more = 1
                         blocked = left.fill(i + more) or right.fill(i + more)
@@ -496,33 +530,37 @@ def _run(node: EngineNode, want: int):
                         ready = len(left_out)
                         if len(right_out) < ready:
                             ready = len(right_out)
-                    c, c_den = _carry(left_out[i], right_out[i], a, a_den, b, b_den, c, c_den)
+                    C = _carry(left_out[i], right_out[i], A, B, C)
                     i += 1
-                    a_den *= 2
-                    b_den *= 2
-                    if not (a >= 0 and b >= 0 and c >= 0 and a_den > 0 and b_den > 0 and c_den > 0):
-                        AffineData(a, a_den, b, b_den, c, c_den, left, right)  # raises DomainError
+                    A *= 2
+                    B *= 2
+                    D *= 4
+                    if C < 0:
+                        AffineData(A, D, B, D, C, D, left, right)  # raises DomainError
                 else:
-                    a *= 2
-                    b *= 2
-                    c = 4 * c - digit * c_den
-                    c_den *= 2
+                    if digit is _C:
+                        A *= 4
+                        B *= 4
+                        C = 4 * C - D
+                        D *= 2
+                    else:
+                        A *= 2
+                        B *= 2
+                        C = 2 * C - D if digit is _R else 2 * C
                     out.append(digit)
                     produced += 1
                 if normalize_steps:
-                    g = gcd(a, a_den)
-                    a //= g
-                    a_den //= g
-                    g = gcd(b, b_den)
-                    b //= g
-                    b_den //= g
-                    g = gcd(c, c_den)
-                    c //= g
-                    c_den //= g
+                    g = A | B | C | D
+                    if not g & 1:
+                        z = (g & -g).bit_length() - 1
+                        A >>= z
+                        B >>= z
+                        C >>= z
+                        D >>= z
         except BaseException:
             del out[start:]
             raise
-        node.state = a, a_den, b, b_den, c, c_den
+        node.state = A, B, C, D
         node.read = i
         if blocked is not None:
             parents.append((node, want))
@@ -571,11 +609,17 @@ def production_step(x: AffineData, normalize_steps: bool = True) -> Tuple[Digit,
     One digit of the engine loop: the state runs as an ``EngineNode`` over
     its two input streams until it has emitted, and comes back as the
     state after that emission, whose inputs are the tails left after the
-    consumptions.
+    consumptions. Its three pairs share the node's denominator D; with
+    ``normalize_steps`` each is reduced, which makes them the reference's
+    normalized coefficients, since reduced fractions are unique.
     """
     node = EngineNode(*x.coefficients, StreamNode(x.v1), StreamNode(x.v2), normalize_steps)
     demand(node, 1)
-    return node.out[0], AffineData(*node.state, node.left.rest, node.right.rest)
+    A, B, C, D = node.state
+    coefficients = A, D, B, D, C, D
+    if normalize_steps:
+        coefficients = _reduce(*coefficients)
+    return node.out[0], AffineData(*coefficients, node.left.rest, node.right.rest)
 
 
 def produce_stream(x: AffineData, normalize_steps: bool = True) -> Stream:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Union
 
-from .digits import Digit, Interval, _fraction_text, _int_text, _left_end, _zero_padded, digits_to_str, prefix_interval
+from .digits import Digit, Interval, _fraction_repr, _fraction_text, _left_end, _zero_padded, digits_to_str, prefix_interval
 # No query here refines Fraction intervals any more, but the benchmark's
 # tracer (bench/spans.py) wraps the ``reals.refine`` binding, so it stays.
 from .digits import refine  # noqa: F401
@@ -168,10 +168,7 @@ class Indistinguishable:
 
     def __repr__(self):
         """The dataclass's own text, at any size of ``resolution``."""
-        r = self.resolution
-        return "Indistinguishable(resolution=Fraction(%s%s, %s))" % (
-            "-" * (r < 0), _int_text(abs(r.numerator)), _int_text(r.denominator)
-        )
+        return "Indistinguishable(resolution=%s)" % _fraction_repr(self.resolution)
 
 
 def compare(x: ExactReal, y: ExactReal, max_depth: int) -> Union[str, Indistinguishable]:

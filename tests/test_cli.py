@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import read_int
 from lrcreal.cli import (
     Add,
     Affine,
@@ -220,10 +221,10 @@ def test_selftest_catches_consumption_table_typo(monkeypatch):
 
     original = engine_module._carry
 
-    def swapped(d1, d2, a, a_den, b, b_den, c, c_den):
+    def swapped(d1, d2, A, B, C):
         if (d1, d2) == (Digit.R, Digit.C):
-            return original(Digit.C, Digit.R, a, a_den, b, b_den, c, c_den)
-        return original(d1, d2, a, a_den, b, b_den, c, c_den)
+            return original(Digit.C, Digit.R, A, B, C)
+        return original(d1, d2, A, B, C)
 
     monkeypatch.setattr(engine_module, "_carry", swapped)
     report, code = selftest_command(100, 40, 42)
@@ -270,16 +271,9 @@ def test_main_eval_interval_past_int_str_limit(capsys):
     # Python refuses to turn an int of more than 4300 decimal digits into
     # text by default, and the endpoints at 20,000 digits have over 6,000.
     # The output is read back in short chunks.
-    def parse_int(text):
-        value = 0
-        for i in range(0, len(text), 1000):
-            chunk = text[i:i + 1000]
-            value = value * 10 ** len(chunk) + int(chunk)
-        return value
-
     assert main(["eval", "1/3", "--format", "interval", "--digits", "20000"]) == 0
     lo, hi = (
-        Fraction(*map(parse_int, end.split("/")))
+        Fraction(*map(read_int, end.split("/")))
         for end in capsys.readouterr().out.strip().strip("[]").split(", ")
     )
     iv = from_rational(Fraction(1, 3)).to_interval(20000)

@@ -85,9 +85,9 @@ def test_produced_digits_match_pinned_digests(monkeypatch):
     seen = set()
     carry = engine_module._carry
 
-    def recording(d1, d2, *coefficients):
+    def recording(d1, d2, A, B, C):
         seen.add((d1, d2))
-        return carry(d1, d2, *coefficients)
+        return carry(d1, d2, A, B, C)
 
     monkeypatch.setattr(engine_module, "_carry", recording)
     states = in_range_states(2024, len(DIGESTS))

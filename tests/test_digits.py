@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import refine_fold
+from helpers import read_int, refine_fold
 from lrcreal.digits import (
     Digit,
     Interval,
@@ -122,6 +122,22 @@ def test_interval_properties():
         Interval(Fraction(1), Fraction(0))
     assert iv.disjoint_from(Interval(Fraction(1, 2), Fraction(1)))
     assert not iv.disjoint_from(Interval(Fraction(3, 8), Fraction(1)))
+
+
+def test_interval_repr_at_any_depth():
+    iv = Interval(Fraction(1, 4), Fraction(3, 8))
+    assert repr(iv) == "Interval(lo=Fraction(1, 4), hi=Fraction(3, 8))"
+    assert repr(Interval(Fraction(-1, 2), Fraction(0))) == "Interval(lo=Fraction(-1, 2), hi=Fraction(0, 1))"
+    # the endpoints' denominator 2**20001 has over 6,000 decimal digits
+    deep = from_rational(Fraction(1, 3)).to_interval(20000)
+    text = repr(deep)
+    assert text.startswith("Interval(lo=Fraction(") and text.endswith("))")
+    lo, hi = text[len("Interval(lo="):-1].split(", hi=")
+    for endpoint, expected in ((lo, deep.lo), (hi, deep.hi)):
+        num, den = endpoint[len("Fraction("):-1].split(", ")
+        assert Fraction(read_int(num), read_int(den)) == expected
+    with pytest.raises(ValueError, match="out of order"):
+        Interval(deep.hi, deep.lo)
 
 
 def test_digit_value_is_its_weight():

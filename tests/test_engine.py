@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given
@@ -21,8 +22,11 @@ from lrcreal.digits import Digit, emit_value, prefix_interval
 from lrcreal.engine import (
     AffineData,
     Decision,
+    EngineNode,
+    StreamNode,
     consume,
     decide,
+    demand,
     engine_states,
     measure,
     normalize,
@@ -319,14 +323,35 @@ def in_range_states(draw):
     return AffineData(a, a_den, b, b_den, c, c_den, v1, v2)
 
 
+def pair_values(x):
+    return Fraction(x.a, x.a_den), Fraction(x.b, x.b_den), Fraction(x.c, x.c_den)
+
+
 @given(in_range_states(), st.booleans())
 def test_production_step_matches_engine_states(x, normalize_steps):
+    # One node runs alongside, so its raw four integers are seen after
+    # every digit. Normalized, they are the reference's reduced pairs over
+    # the least common multiple of its denominators, which holds exactly
+    # when the four have gcd 1: the power-of-two strip reduces fully.
+    # Unnormalized integers depend on the representation, so only the
+    # values of the pairs are compared.
+    node = EngineNode(*x.coefficients, StreamNode(x.v1), StreamNode(x.v2), normalize_steps)
     emitted = ((d, state) for d, state in engine_states(x, normalize_steps) if d is not None)
-    for expected, state in itertools.islice(emitted, 40):
+    for k, (expected, state) in enumerate(itertools.islice(emitted, 40), 1):
         digit, x = production_step(x, normalize_steps)
-        assert digit is expected
-        assert x.coefficients == state.coefficients
+        demand(node, k)
+        assert digit is expected and node.out[-1] is expected
         assert x.v1 is state.v1 and x.v2 is state.v2
+        if normalize_steps:
+            assert x.coefficients == state.coefficients
+            den = lcm(state.a_den, state.b_den, state.c_den)
+            assert node.state == (
+                state.a * den // state.a_den, state.b * den // state.b_den, state.c * den // state.c_den, den
+            )
+        else:
+            assert pair_values(x) == pair_values(state)
+            A, B, C, D = node.state
+            assert (Fraction(A, D), Fraction(B, D), Fraction(C, D)) == pair_values(state)
 
 
 def test_production_step_checks_states_inside_a_consumption_run(monkeypatch):
@@ -335,10 +360,10 @@ def test_production_step_checks_states_inside_a_consumption_run(monkeypatch):
     # valid state. Only the check on the state between them can object.
     carry = engine_module._carry
 
-    def negative_from_zero(d1, d2, a, a_den, b, b_den, c, c_den):
-        if c == 0:
-            return -1, 4 * a_den * b_den * c_den
-        return carry(d1, d2, a, a_den, b, b_den, c, c_den)
+    def negative_from_zero(d1, d2, A, B, C):
+        if C == 0:
+            return -1
+        return carry(d1, d2, A, B, C)
 
     monkeypatch.setattr(engine_module, "_carry", negative_from_zero)
     x = AffineData(1, 1, 1, 1, 0, 1, constant(Digit.R), constant(Digit.R))

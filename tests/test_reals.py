@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import digits_then_constant, rand_fraction, rational_stream, refine_fold
+from helpers import digits_then_constant, rand_fraction, rational_stream, read_int, refine_fold
 from lrcreal.digits import UNIT, Digit, digits_to_str, prefix_interval, refine
 from lrcreal.engine import _FILL_BLOCK, AffineData, RationalNode, StreamNode, demand, engine_states
 from lrcreal.errors import DomainError
@@ -166,10 +166,7 @@ def test_to_decimal_past_int_str_limit():
         units = math.floor(mid * scale + Fraction(1, 2))
         whole, frac = x.to_decimal(places).split(".")
         assert len(frac) == places
-        parsed = 0
-        for i in range(0, places, 1000):
-            parsed = parsed * 10 ** 1000 + int(frac[i:i + 1000])
-        assert (int(whole), parsed) == divmod(units, scale)
+        assert (int(whole), read_int(frac)) == divmod(units, scale)
 
 
 def test_average_examples():
@@ -257,10 +254,7 @@ def test_indistinguishable_repr_at_any_depth():
     text = repr(compare(x, x, 20000))
     prefix, den = text[:-2].split(", ")
     assert (prefix, text[-2:]) == ("Indistinguishable(resolution=Fraction(1", "))")
-    value = 0
-    for i in range(0, len(den), 1000):
-        value = value * 10 ** len(den[i:i + 1000]) + int(den[i:i + 1000])
-    assert value == 2 ** 20000
+    assert read_int(den) == 2 ** 20000
 
 
 def test_compare_spellings_of_half_deep():
