@@ -13,9 +13,9 @@ unchecked combination 1*x + 1*y + 0; every leaf is a rational, so each
 node's exact value is known, and an ``add`` whose value exceeds 1 is
 rejected. ``affine`` runs in checked mode (coefficient sum at most 1).
 
-Exit codes: 0 success, 1 syntax error, 2 domain error. Parsing, building
-and evaluating use explicit stacks, so nesting depth is bounded by time
-and memory, not by Python's recursion limit.
+Exit codes: 0 success, 1 syntax error, 2 domain error or out of memory.
+Parsing, building and evaluating use explicit stacks, so nesting depth is
+bounded by time and memory, not by Python's recursion limit.
 """
 
 import argparse
@@ -379,6 +379,9 @@ def main(argv=None) -> int:
         return 2
     except RecursionError:
         print("error: expression nested too deeply", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory; ask for fewer digits", file=sys.stderr)
         return 2
     raise AssertionError("unreachable command: %r" % args.command)
 

@@ -11,7 +11,7 @@ makes arithmetic on these streams computable.
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
-from typing import Iterable, List, Tuple
+from typing import Iterable, List
 
 from .streams import Stream, take
 
@@ -140,9 +140,13 @@ def _fraction_repr(r: Fraction) -> str:
 
 UNIT = Interval(Fraction(0), Fraction(1))
 
-#: Digit letter to the high and the low bit of its weight, as "0"/"1".
-_HIGH_BIT = str.maketrans({d.name: str(d >> 1) for d in Digit})
-_LOW_BIT = str.maketrans({d.name: str(d & 1) for d in Digit})
+#: ``bytes.translate`` tables from a weight byte to the high and the low
+#: bit of the weight, as b"0"/b"1", and to the digit's letter. Any other
+#: byte becomes 0xff, which ``int(..., 2)`` and ASCII decoding reject, so a
+#: stray weight raises ValueError instead of giving a wrong answer.
+_HIGH_BIT = b"001".ljust(256, b"\xff")
+_LOW_BIT = b"010".ljust(256, b"\xff")
+_LETTER = b"LCR".ljust(256, b"\xff")
 
 
 def refine(iv: Interval, d: Digit) -> Interval:
@@ -156,20 +160,29 @@ def refine(iv: Interval, d: Digit) -> Interval:
     return Interval(lo + quarter, lo + 3 * quarter)
 
 
-def _left_end(ds: Iterable[Digit]) -> Tuple[int, int]:
-    """``(m, n)`` such that the n digits ``ds`` pin [m, m + 2] / 2**(n + 1).
+def _weights(ds: Iterable[Digit]) -> bytes:
+    """The digits ``ds`` as bytes of their weights; a digit buffer copies as is.
+
+    A lone int is refused: ``bytes(n)`` would read it as n L digits.
+    """
+    if isinstance(ds, int):
+        raise TypeError("expected an iterable of digits, got %r" % (ds,))
+    return bytes(ds)
+
+
+def _left_end(ws: bytes) -> int:
+    """m such that the digits of weights ``ws`` pin [m, m + 2] / 2**(len(ws) + 1).
 
     Refining [m, m + 2] / 2**(n + 1) by digit d gives
     [2m + k(d), 2m + k(d) + 2] / 2**(n + 2), so m starts at 0 (the empty
     prefix, [0, 1]) and each digit maps m to 2m + k(d). Unrolled, m is
     the sum of k(d_i) * 2**(n - i); splitting each weight into its two
     bits makes that 2 * high + low for two n-bit binary numerals, which
-    ``int`` parses in time linear in n.
+    one ``translate`` each spells and ``int`` parses in time linear in n.
     """
-    text = digits_to_str(ds)
-    if not text:
-        return 0, 0
-    return 2 * int(text.translate(_HIGH_BIT), 2) + int(text.translate(_LOW_BIT), 2), len(text)
+    if not ws:
+        return 0
+    return 2 * int(ws.translate(_HIGH_BIT), 2) + int(ws.translate(_LOW_BIT), 2)
 
 
 def prefix_interval(ds: Iterable[Digit]) -> Interval:
@@ -181,8 +194,9 @@ def prefix_interval(ds: Iterable[Digit]) -> Interval:
     m is found with integer work linear in n, and the endpoints become
     ``Fraction`` only on return.
     """
-    m, n = _left_end(ds)
-    den = 2 ** (n + 1)
+    ws = _weights(ds)
+    m = _left_end(ws)
+    den = 2 ** (len(ws) + 1)
     return Interval(Fraction(m, den), Fraction(m + 2, den))
 
 
@@ -227,7 +241,8 @@ def represents_to_depth(s: Stream, r: Fraction, n: int) -> bool:
 
 
 def digits_to_str(ds: Iterable[Digit]) -> str:
-    return "".join(map("LCR".__getitem__, ds))
+    """The digits as text like "LCR"; a digit buffer takes one ``translate``."""
+    return _weights(ds).translate(_LETTER).decode("ascii")
 
 
 def str_to_digits(text: str) -> List[Digit]:

@@ -31,7 +31,9 @@ Consumption runs are therefore finite and the output stream productive,
 for any positive-coefficient state.
 
 Reals are nodes of a graph, and each node keeps an append-only buffer
-``out`` of the digits it has produced. A ``RationalNode`` (long division)
+``out`` of the digits it has produced, a ``bytearray`` of their weights:
+``Digit`` members appear only in the stream views of a buffer and in what
+``production_step`` returns. A ``RationalNode`` (long division)
 and a ``StreamNode`` (over an arbitrary digit ``Stream``) are leaves; an
 ``EngineNode`` holds its state and two child nodes, and reads their
 buffers by index, so a child read by several parents is computed once.
@@ -297,16 +299,17 @@ def engine_states(x: AffineData, normalize_steps: bool = True) -> Iterator[Tuple
 
 
 #: The digits as module constants: an enum member lookup (``Digit.R``) costs
-#: several times a global's in the loops below.
-_L, _C, _R = Digit.L, Digit.C, Digit.R
+#: several times a global's in the loops below. ``_DIGITS[w]`` is the digit
+#: of weight w, for the views that hand buffered weights out as digits.
+_DIGITS = _L, _C, _R = Digit.L, Digit.C, Digit.R
 
 
 #: Digits a rational leaf adds at least per fill: one big-integer division
 #: yields them all, so a leaf runs ahead of demand by less than this.
 _FILL_BLOCK = 64
 
-#: A quotient bit as a digit: long division emits L for 0 and R for 1.
-_BIT_DIGIT = {"0": _L, "1": _R}
+#: A quotient bit, as text, to a weight: long division emits L for 0 and R for 1.
+_BIT_WEIGHT = bytes.maketrans(b"01", bytes((_L, _R)))
 
 
 class RationalNode:
@@ -317,7 +320,8 @@ class RationalNode:
     So ``num`` stays in (0, den] once positive, ties go to L (1/2 is
     LRRR...) and only L and R digits ever appear. ``fill`` does k steps
     at once: the k-bit quotient q with ``num * 2**k - q*den`` in (0, den]
-    spells the digits, one bit each. A leaf: whoever reads it fills it,
+    spells the digits, one bit each, and one ``translate`` turns its
+    binary text into weights. A leaf: whoever reads it fills it,
     a block of ``_FILL_BLOCK`` digits or more, so its buffer may run
     ahead of what was asked by less than one block.
     """
@@ -325,7 +329,7 @@ class RationalNode:
     __slots__ = ("out", "num", "den")
 
     def __init__(self, num: int, den: int):
-        self.out = []
+        self.out = bytearray()
         self.num = num
         self.den = den
 
@@ -337,12 +341,12 @@ class RationalNode:
             return None
         k = max(n - len(out), _FILL_BLOCK)
         if self.num == 0:
-            out.extend([_L] * k)
+            out += bytes(k)
         else:
             big = self.num << k
             q = (big - 1) // self.den
             self.num = big - q * self.den
-            out.extend(map(_BIT_DIGIT.__getitem__, format(q, "0%db" % k)))
+            out += format(q, "0%db" % k).encode().translate(_BIT_WEIGHT)
         return None
 
 
@@ -360,7 +364,7 @@ class StreamNode:
     __slots__ = ("out", "rest")
 
     def __init__(self, stream: Stream):
-        self.out = []
+        self.out = bytearray()
         self.rest = stream
 
     def fill(self, n: int):
@@ -385,21 +389,23 @@ class StreamNode:
 class EngineNode:
     """The engine on (a/a_den)*left + (b/b_den)*right + c/c_den, resumable.
 
-    ``out`` holds the digits produced so far and ``read`` the input digits
-    consumed from each child. ``state`` is the four integers ``(A, B, C,
-    D)`` after them, the value ``(A*left + B*right + C) / D``: the three
-    pairs over one denominator, the least common multiple of theirs, and
-    with ``normalize_steps`` divided by the gcd of all four. Steps scale
-    A, B and D by powers of two, so only C can turn negative, and the
-    engine loop checks ``C >= 0``. The children are nodes, read by index into their ``out``, so a node read
-    by several parents is computed once. Like every node it has a
-    ``fill``; only ``_run`` steps it, so its ``fill`` names what to run.
+    ``out`` holds the weights of the digits produced so far, one byte
+    each, and ``read`` the input digits consumed from each child.
+    ``state`` is the four integers ``(A, B, C, D)`` after them, the value
+    ``(A*left + B*right + C) / D``: the three pairs over one denominator,
+    the least common multiple of theirs, and with ``normalize_steps``
+    divided by the gcd of all four. Steps scale A, B and D by powers of
+    two, so only C can turn negative, and the engine loop checks
+    ``C >= 0``. The children are nodes, read by index into their ``out``,
+    so a node read by several parents is computed once. Like every node it
+    has a ``fill``; only ``_run`` steps it, so its ``fill`` names what to
+    run.
     """
 
     __slots__ = ("out", "state", "read", "left", "right", "normalize_steps")
 
     def __init__(self, a, a_den, b, b_den, c, c_den, left, right, normalize_steps: bool = True):
-        self.out = []
+        self.out = bytearray()
         den = lcm(a_den, b_den, c_den)
         state = a * (den // a_den), b * (den // b_den), c * (den // c_den), den
         if normalize_steps:
@@ -576,7 +582,8 @@ class NodeStream(Stream):
     """The digits of a node's buffer from ``index`` on, as a ``Stream``.
 
     Forcing a cell demands one more digit of the node, so reading a view
-    is exactly as lazy as reading a memoized digit stream.
+    is exactly as lazy as reading a memoized digit stream. A cell's head
+    is the ``Digit`` of the buffered weight.
     """
 
     __slots__ = ("node", "index")
@@ -589,7 +596,7 @@ class NodeStream(Stream):
 
 def _node_cell(node, index):
     demand(node, index + 1)
-    return node.out[index], NodeStream(node, index + 1)
+    return _DIGITS[node.out[index]], NodeStream(node, index + 1)
 
 
 def stream_node(stream: Stream):
@@ -619,7 +626,7 @@ def production_step(x: AffineData, normalize_steps: bool = True) -> Tuple[Digit,
     coefficients = A, D, B, D, C, D
     if normalize_steps:
         coefficients = _reduce(*coefficients)
-    return node.out[0], AffineData(*coefficients, node.left.rest, node.right.rest)
+    return _DIGITS[node.out[0]], AffineData(*coefficients, node.left.rest, node.right.rest)
 
 
 def produce_stream(x: AffineData, normalize_steps: bool = True) -> Stream:

@@ -11,9 +11,9 @@ reals; ``compare`` bounds its search and says so when it gives up.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Union
+from typing import Union
 
-from .digits import Digit, Interval, _fraction_repr, _fraction_text, _left_end, _zero_padded, digits_to_str, prefix_interval
+from .digits import Interval, _fraction_repr, _fraction_text, _left_end, _zero_padded, digits_to_str, prefix_interval
 # No query here refines Fraction intervals any more, but the benchmark's
 # tracer (bench/spans.py) wraps the ``reals.refine`` binding, so it stays.
 from .digits import refine  # noqa: F401
@@ -52,8 +52,8 @@ class ExactReal:
     def digits(self) -> Stream:
         return NodeStream(self.node)
 
-    def _prefix(self, n: int) -> List[Digit]:
-        """The first ``n`` digits, produced if not yet there."""
+    def _prefix(self, n: int) -> bytearray:
+        """The weights of the first ``n`` digits, produced if not yet there."""
         if n < 0:
             raise ValueError("depth must be >= 0")
         demand(self.node, n)
@@ -86,7 +86,7 @@ class ExactReal:
             raise ValueError("to_decimal: places must be >= 1")
         scale = 10 ** places
         depth = scale.bit_length() + 2
-        m, _ = _left_end(self._prefix(depth))
+        m = _left_end(self._prefix(depth))
         units = ((m + 1) * scale + (1 << depth)) >> (depth + 1)
         return "%d.%s" % (units // scale, _zero_padded(units % scale, places))
 
@@ -208,7 +208,7 @@ def compare(x: ExactReal, y: ExactReal, max_depth: int) -> Union[str, Indistingu
         if end == depth + 1:  # the common case while an engine real is demanded
             gap = 2 * gap + ys[depth] - xs[depth]
         else:
-            gap = (gap << (end - depth)) + _left_end(ys[depth:end])[0] - _left_end(xs[depth:end])[0]
+            gap = (gap << (end - depth)) + _left_end(ys[depth:end]) - _left_end(xs[depth:end])
         if gap > 2:
             return LESS
         if gap < -2:

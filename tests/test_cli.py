@@ -22,6 +22,7 @@ from lrcreal.cli import (
     selftest_command,
 )
 from lrcreal.digits import prefix_interval, str_to_digits
+from lrcreal.engine import RationalNode
 from lrcreal.errors import DomainError, ExprParseError
 from lrcreal.reals import from_rational
 
@@ -256,6 +257,19 @@ def test_main_in_process_exit_codes():
     assert main(["fib", "--count", "3"]) == 0
     assert main(["selftest", "--cases", "-5"]) == 2
     assert main(["selftest", "--depth", "-1"]) == 2
+
+
+def test_main_reports_out_of_memory_as_exit_2(capsys, monkeypatch):
+    # A leaf that cannot hold the digits asked for: one error line and
+    # exit 2, not a traceback and the syntax-error code. The patched fill
+    # raises at once, so nothing large is allocated.
+    def out_of_memory(self, n):
+        raise MemoryError
+
+    monkeypatch.setattr(RationalNode, "fill", out_of_memory)
+    assert main(["eval", "1/3", "--digits", "10000000000"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: out of memory; ask for fewer digits\n")
 
 
 def test_main_eval_interval_output(capsys):

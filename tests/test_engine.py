@@ -340,7 +340,7 @@ def test_production_step_matches_engine_states(x, normalize_steps):
     for k, (expected, state) in enumerate(itertools.islice(emitted, 40), 1):
         digit, x = production_step(x, normalize_steps)
         demand(node, k)
-        assert digit is expected and node.out[-1] is expected
+        assert digit is expected and node.out[-1] == expected
         assert x.v1 is state.v1 and x.v2 is state.v2
         if normalize_steps:
             assert x.coefficients == state.coefficients

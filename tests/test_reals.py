@@ -80,7 +80,7 @@ def test_rational_node_fills_in_blocks_like_long_division(fraction, steps):
         n += step
         demand(node, n)
         assert n <= len(node.out) < n + _FILL_BLOCK
-        assert node.out == long_division(num, den, len(node.out))
+        assert list(node.out) == long_division(num, den, len(node.out))
 
 
 def test_from_rational_never_emits_c():
