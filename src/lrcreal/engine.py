@@ -53,17 +53,35 @@ The loop keeps an engine node's state as four integers ``(A, B, C, D)``,
 the value ``(A*v1 + B*v2 + C) / D``: the three pairs over one common
 denominator, which is where every test and rewrite above compares them
 anyway. It normalizes by shifting out common factors of two, with no
-``gcd`` per step (see ``_run``). ``production_step`` and
-``produce_stream`` run the same loop from ``AffineData``, a named tuple
-``(a, a', b, b', c, c', v1, v2)`` whose constructor checks the signs. A
-digit is its own weight (``Digit`` is an ``IntEnum``). ``engine_states``
-is the step-at-a-time reference that tests compare the loop against: it
-yields a checked ``AffineData`` after every step, built from the same
-helpers that ``decide``, ``prod_*``, ``consume`` and ``normalize`` apply
-to a single state, and it consumes with ``_carry``, the loop's own
-consumption formula, on the pairs put over the denominator a'b'c'. All
-tests and rewrites are exact integer arithmetic; nothing here touches
-floating point.
+``gcd`` per step (see ``_run``).
+
+The loop is a memoized finite automaton: an affine map with rational
+coefficients on redundant digit streams is computable by one (Konecny,
+"Real functions incrementally computable by finite automata", TCS 315,
+2004). An ``_Automaton`` holds one record per normalized state with
+``(A + B + C)/D <= 1`` that the loop has stepped from: the state, its
+decision, and links to the next state's record, one for an emission
+and nine for a consumption, one per pair of input digits. The loop
+fills a link by the arithmetic the first time it takes that step, and
+afterwards only follows it. Such states form a finite set: the odd part
+of D is fixed, ``(A + B)/D`` stays within a factor of 16, and the
+resolution of ``C/D`` is bounded by that of ``A/D`` and ``B/D``. Finite
+can still be huge, so an automaton holds at most ``_AUTOMATON_CAP``
+records, and states past the cap, unnormalized states and states with
+``(A + B + C)/D > 1`` take the arithmetic step with no record. Nodes
+that start from the same state share one automaton, held weakly in a
+registry, which dies with the last of them.
+
+``production_step`` and ``produce_stream`` run the same loop from
+``AffineData``, a named tuple ``(a, a', b, b', c, c', v1, v2)`` whose
+constructor checks the signs. A digit is its own weight (``Digit`` is
+an ``IntEnum``). ``engine_states`` is the step-at-a-time reference that
+tests compare the loop against: it yields a checked ``AffineData`` after
+every step, built from the same helpers that ``decide``, ``prod_*``,
+``consume`` and ``normalize`` apply to a single state, and it consumes
+with ``_carry``, the loop's own consumption formula, on the pairs put
+over the denominator a'b'c'. All tests and rewrites are exact integer
+arithmetic; nothing here touches floating point.
 """
 
 from collections import namedtuple
@@ -73,8 +91,9 @@ from functools import partial
 from math import gcd, lcm
 from threading import RLock
 from typing import Iterator, Optional, Tuple
+from weakref import WeakValueDictionary
 
-from .digits import Digit
+from .digits import Digit, _fraction_text
 from .errors import DomainError
 from .streams import Stream
 
@@ -358,7 +377,8 @@ class StreamNode:
     in place, and an engine node, which forcing ``rest`` would run inside
     this call, is handed back instead. So a chain of reals built lazily
     from streams, through any number of stream leaves, also runs on the
-    explicit stack.
+    explicit stack. A head whose weight is not 0, 1 or 2 raises
+    ``DomainError`` and stays unread.
     """
 
     __slots__ = ("out", "rest")
@@ -381,9 +401,70 @@ class StreamNode:
                 blocked = rest.node.fill(rest.index + n - len(out))
                 if blocked is not None:
                     return blocked
-            digit, self.rest = rest.force()
+            digit, tail = rest.force()
+            if digit not in (0, 1, 2):
+                raise DomainError("a stream digit must have weight 0, 1 or 2, got %s" % (
+                    _fraction_text(Fraction(digit)) if isinstance(digit, int) else repr(digit)
+                ))
             out.append(digit)
+            self.rest = tail
         return None
+
+
+#: Records one automaton holds at most. Past it a node takes the
+#: arithmetic step and allocates nothing, so coefficients whose states
+#: never repeat (say, over denominators near a million) cost at most this
+#: many records, and steps past them cost what they cost without an
+#: automaton. No automaton on the benchmark reaches 200 records.
+_AUTOMATON_CAP = 256
+
+
+class _Automaton:
+    """The engine step, memoized: one record per distinct state stepped from.
+
+    ``records[r]`` is a list that ends with the decision of state r (the
+    digit ``_choose`` justifies, or None to consume) and the state
+    ``(A, B, C, D)`` itself. Before them come its links: one for an
+    emitting state; nine for a consuming one, indexed by ``3*d1 + d2``
+    for input weights d1 and d2, and then the offset
+    ``bitlen(A + B) - bitlen(D)`` of its demand bound (see ``_run``). A
+    link is the index of the next state's record, or None until ``_run``
+    first takes that step. Records link by index, so an automaton holds
+    no reference cycle and dies, by reference counting alone, with the
+    last node that uses it. ``index`` maps each state to its record.
+
+    Only normalized states with T = (A + B + C)/D <= 1 get a record. T
+    stays at most 1 from such a state on (see ``_run``), and the states a
+    node reaches from there form a finite set:
+
+    * the odd part of D never changes: every step multiplies D by a power
+      of two, and the strip divides out only twos;
+    * after e emissions and c consumptions, A/D and B/D are their first
+      values times 2**(e - c), and s = (A + B)/D stays in (1/16, 1] once
+      the node has consumed (a consuming state has s > 1/8 and a
+      consumption halves s; an emission needs s <= 1/2 and doubles it),
+      so they take finitely many values (one, if A = B = 0);
+    * so the resolution of C/D is bounded too: an emission doubles C/D
+      and subtracts a multiple of 1/2, and a consumption adds
+      ``(k1*A + k2*B) / 4D``.
+
+    A reduced state is fixed by its three ratios to D, all in [0, 1].
+    Finite can still be huge, so an automaton holds at most
+    ``_AUTOMATON_CAP`` records.
+    """
+
+    __slots__ = ("records", "index", "__weakref__")
+
+    def __init__(self):
+        self.records = []
+        self.index = {}
+
+
+#: Live automata, by the normalized initial state of the nodes that share
+#: one and by the consumption formula its links cache. An automaton leaves
+#: with its last node. Two threads that build equal nodes at once may each
+#: add one; both are correct, and only one stays shared.
+_AUTOMATA = WeakValueDictionary()
 
 
 class EngineNode:
@@ -400,22 +481,37 @@ class EngineNode:
     so a node read by several parents is computed once. Like every node it
     has a ``fill``; only ``_run`` steps it, so its ``fill`` names what to
     run.
+
+    With ``normalize_steps`` a node runs on an ``_Automaton``, shared by
+    every live node that starts from the same normalized state: all
+    ``average`` nodes share one, and so do all ``add`` nodes. ``at`` is
+    the record of ``state`` in it, or -1 before the first step and while
+    the node steps by arithmetic: unnormalized (``automaton`` is None),
+    with T > 1, or once its automaton is full, which it then leaves for
+    good.
     """
 
-    __slots__ = ("out", "state", "read", "left", "right", "normalize_steps")
+    __slots__ = ("out", "state", "read", "left", "right", "normalize_steps", "automaton", "at")
 
     def __init__(self, a, a_den, b, b_den, c, c_den, left, right, normalize_steps: bool = True):
         self.out = bytearray()
         den = lcm(a_den, b_den, c_den)
         state = a * (den // a_den), b * (den // b_den), c * (den // c_den), den
+        automaton = None
         if normalize_steps:
             g = gcd(*state)
             state = tuple(v // g for v in state)
+            key = state, _carry
+            automaton = _AUTOMATA.get(key)
+            if automaton is None:
+                automaton = _AUTOMATA[key] = _Automaton()
         self.state = state
         self.read = 0
         self.left = left
         self.right = right
         self.normalize_steps = normalize_steps
+        self.automaton = automaton
+        self.at = -1
 
     def fill(self, n: int):
         """None when the buffer holds ``n`` digits, else ``(self, n)``."""
@@ -488,6 +584,19 @@ def _run(node: EngineNode, want: int):
     its sum falls to 1, can emit R with no consumption, so it asks for
     one digit.
 
+    A node with an ``_Automaton`` steps on it wherever it can. At a
+    record, an emission appends the record's digit and follows its link,
+    and a consumption reads one weight from each child and follows link
+    ``3*d1 + d2``; the bound's offset is stored in the record. A missing
+    link is a miss: the node takes that one step by the arithmetic above
+    and, on its next turn, finds or adds the record of the state it
+    reached and links it. A node off the automaton joins it the same way
+    at the first state with T <= 1. When adding a record would pass
+    ``_AUTOMATON_CAP``, the node leaves the automaton and takes every
+    later step by arithmetic. So a node's digits, reads and states are
+    exactly those of the arithmetic alone, and ``_carry``, the sign check
+    and the strip run on every miss.
+
     If anything raises, the current node drops the digits it produced
     since it last became current, so its buffer and saved state agree.
     """
@@ -499,7 +608,6 @@ def _run(node: EngineNode, want: int):
     while True:
         out = node.out
         start = produced = len(out)
-        A, B, C, D = node.state
         i = node.read
         left, right = node.left, node.right
         left_out, right_out = left.out, right.out
@@ -507,24 +615,95 @@ def _run(node: EngineNode, want: int):
         if len(right_out) < ready:
             ready = len(right_out)
         normalize_steps = node.normalize_steps
+        automaton = node.automaton
+        s = node.at  # the current record, or -1 off the automaton
+        if s >= 0:
+            records = automaton.records
+            resumed = False  # the record knows it consumes
+        else:
+            A, B, C, D = node.state
+        missed = None  # the record whose link ``link`` the next state fills
         blocked = None
         try:
-            while produced < want:
-                if resumed:
-                    resumed = False
-                    digit = None
-                elif D <= 2 * C:
-                    digit = _R
-                else:
-                    total = A + B + C
-                    if 2 * total <= D:
-                        digit = _L
-                    elif 4 * total <= 3 * D and D <= 4 * C:
-                        digit = _C
+            while True:
+                if s >= 0:
+                    if produced == want:
+                        break
+                    record = records[s]
+                    digit = record[-2]
+                    if digit is None:
+                        if i == ready:
+                            more = want - produced + record[9]
+                            if more < 1:
+                                more = 1
+                            blocked = left.fill(i + more) or right.fill(i + more)
+                            if blocked is not None:
+                                break
+                            ready = len(left_out)
+                            if len(right_out) < ready:
+                                ready = len(right_out)
+                        link = 3 * left_out[i] + right_out[i]
+                        s = record[link]
+                        if s is not None:
+                            i += 1
+                            continue
                     else:
+                        s = record[0]
+                        if s is not None:
+                            out.append(digit)
+                            produced += 1
+                            continue
+                        link = 0
+                    # A miss: take the step by arithmetic, and link the
+                    # record to the state it reaches on the next turn.
+                    A, B, C, D = record[-1]
+                    missed = record
+                    s = -1
+                else:
+                    if produced == want and missed is None:
+                        break
+                    if resumed:
+                        resumed = False
                         digit = None
-                if digit is None:
-                    if i == ready:
+                    elif D <= 2 * C:
+                        digit = _R
+                    else:
+                        total = A + B + C
+                        if 2 * total <= D:
+                            digit = _L
+                        elif 4 * total <= 3 * D and D <= 4 * C:
+                            digit = _C
+                        else:
+                            digit = None
+                    if automaton is not None:
+                        if A + B + C <= D:
+                            # Join the automaton at this state's record,
+                            # adding it if new, and go on from there.
+                            state = A, B, C, D
+                            records = automaton.records
+                            s = automaton.index.get(state)
+                            if s is None:
+                                s = len(records)
+                                if s == _AUTOMATON_CAP:
+                                    node.automaton = automaton = None
+                                    missed = None
+                                    s = -1
+                                    continue
+                                records.append(
+                                    [None, None, None, None, None, None, None, None, None,
+                                     (A + B).bit_length() - D.bit_length(), None, state]
+                                    if digit is None else [None, digit, state]
+                                )
+                                automaton.index[state] = s
+                            if missed is not None:
+                                missed[link] = s
+                                missed = None
+                            continue
+                        if missed is not None:
+                            # T > 1 gets no record, so the miss gets no link.
+                            missed = None
+                            continue
+                    if digit is None and i == ready:
                         more = 1
                         if A + B + C <= D:
                             more = want - produced + (A + B).bit_length() - D.bit_length()
@@ -536,6 +715,7 @@ def _run(node: EngineNode, want: int):
                         ready = len(left_out)
                         if len(right_out) < ready:
                             ready = len(right_out)
+                if digit is None:
                     C = _carry(left_out[i], right_out[i], A, B, C)
                     i += 1
                     A *= 2
@@ -566,7 +746,8 @@ def _run(node: EngineNode, want: int):
         except BaseException:
             del out[start:]
             raise
-        node.state = A, B, C, D
+        node.state = records[s][-1] if s >= 0 else (A, B, C, D)
+        node.at = s
         node.read = i
         if blocked is not None:
             parents.append((node, want))

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 from helpers import DIGITS, prefixed_stream
 from lrcreal.digits import Digit, digits_to_str, prefix_interval
 from lrcreal.engine import AffineData, EngineNode, NodeStream, StreamNode, production_step
+from lrcreal.errors import DomainError
 from lrcreal.reals import ExactReal, affine, average, from_rational
-from lrcreal.streams import take
+from lrcreal.streams import cons, constant, take
 
 
 def unit_fractions(bound=Fraction(1)):
@@ -116,3 +117,19 @@ def test_stray_weights_raise_instead_of_reading_as_digits():
         prefix_interval(Digit.R)
     with pytest.raises(TypeError):
         digits_to_str(Digit.R)
+
+
+def test_stream_leaf_rejects_stray_weights():
+    # A stream of 7s once read as RRRRRRRR, the interval [15/16, 1].
+    with pytest.raises(DomainError, match="got 7$"):
+        average(ExactReal(constant(7)), from_rational(Fraction(0))).digit_string(8)
+    # The digits before a stray head go through, and the head stays unread.
+    x = ExactReal(cons(Digit.R, cons(Digit.C, constant(3))))
+    for _ in range(2):
+        with pytest.raises(DomainError, match="got 3$"):
+            x.digit_string(3)
+    assert x.digit_string(2) == "RC"
+    with pytest.raises(DomainError, match="got -1"):
+        ExactReal(constant(-10 ** 5000)).digit_string(1)
+    with pytest.raises(DomainError, match="got 'R'"):
+        ExactReal(constant("R")).digit_string(1)
