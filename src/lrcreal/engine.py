@@ -62,15 +62,17 @@ coefficients on redundant digit streams is computable by one (Konecny,
 ``(A + B + C)/D <= 1`` that the loop has stepped from: the state, its
 decision, and links to the next state's record, one for an emission
 and nine for a consumption, one per pair of input digits. The loop
-fills a link by the arithmetic the first time it takes that step, and
-afterwards only follows it. Such states form a finite set: the odd part
-of D is fixed, ``(A + B)/D`` stays within a factor of 16, and the
-resolution of ``C/D`` is bounded by that of ``A/D`` and ``B/D``. Finite
-can still be huge, so an automaton holds at most ``_AUTOMATON_CAP``
-records, and states past the cap, unnormalized states and states with
-``(A + B + C)/D > 1`` take the arithmetic step with no record. Nodes
-that start from the same state share one automaton, held weakly in a
-registry, which dies with the last of them.
+takes a step by the arithmetic the first time, enters the state it
+reaches (``_Automaton.enter``, the one place a record is built) and
+fills the link at once; afterwards it only follows the link. Such states
+form a finite set: the odd part of D is fixed, ``(A + B)/D`` stays
+within a factor of 16, and the resolution of ``C/D`` is bounded by that
+of ``A/D`` and ``B/D``. Finite can still be huge, so an automaton holds
+at most ``_AUTOMATON_CAP`` records. A node's first step, steps from
+states with ``(A + B + C)/D > 1``, steps past the cap and unnormalized
+nodes' steps are decided by ``_choose`` and taken by the arithmetic.
+Nodes that start from the same state share one automaton, held weakly
+in a registry, which dies with the last of them.
 
 ``production_step`` and ``produce_stream`` run the same loop from
 ``AffineData``, a named tuple ``(a, a', b, b', c, c', v1, v2)`` whose
@@ -78,10 +80,11 @@ constructor checks the signs. A digit is its own weight (``Digit`` is
 an ``IntEnum``). ``engine_states`` is the step-at-a-time reference that
 tests compare the loop against: it yields a checked ``AffineData`` after
 every step, built from the same helpers that ``decide``, ``prod_*``,
-``consume`` and ``normalize`` apply to a single state, and it consumes
-with ``_carry``, the loop's own consumption formula, on the pairs put
-over the denominator a'b'c'. All tests and rewrites are exact integer
-arithmetic; nothing here touches floating point.
+``consume`` and ``normalize`` apply to a single state. It decides with
+``_choose`` and consumes with ``_carry``, the loop's own decision and
+consumption formula, on the pairs put over the denominator a'b'c'. All
+tests and rewrites are exact integer arithmetic; nothing here touches
+floating point.
 """
 
 from collections import namedtuple
@@ -179,20 +182,28 @@ def _common(a, a_den, b, b_den, c, c_den):
     return a * b_den * c_den, b * a_den * c_den, c * a_den * b_den, a_den * b_den * c_den
 
 
+#: The digits as module constants: an enum member lookup (``Digit.R``) costs
+#: several times a global's, and ``_choose`` and the engine loop run once
+#: per step. ``_DIGITS[w]`` is the digit of weight w, for the views that
+#: hand buffered weights out as digits.
+_DIGITS = _L, _C, _R = Digit.L, Digit.C, Digit.R
+
+
 def _choose(A, B, C, D) -> Optional[Digit]:
     """The digit the state ``(A*v1 + B*v2 + C) / D`` justifies, or None to consume.
 
     Tests R, then L, then C. The tests overlap (a state can pass both L
     and C); the fixed order makes the output deterministic. All three are
-    scale-invariant, so the choice commutes with normalization.
+    scale-invariant, so the choice commutes with normalization. The one
+    copy of the tests: the engine loop and the reference both call it.
     """
     if D <= 2 * C:
-        return Digit.R
+        return _R
     total = A + B + C
     if 2 * total <= D:
-        return Digit.L
+        return _L
     if 4 * total <= 3 * D and D <= 4 * C:
-        return Digit.C
+        return _C
     return None
 
 
@@ -317,12 +328,6 @@ def engine_states(x: AffineData, normalize_steps: bool = True) -> Iterator[Tuple
         yield digit, x
 
 
-#: The digits as module constants: an enum member lookup (``Digit.R``) costs
-#: several times a global's in the loops below. ``_DIGITS[w]`` is the digit
-#: of weight w, for the views that hand buffered weights out as digits.
-_DIGITS = _L, _C, _R = Digit.L, Digit.C, Digit.R
-
-
 #: Digits a rational leaf adds at least per fill: one big-integer division
 #: yields them all, so a leaf runs ahead of demand by less than this.
 _FILL_BLOCK = 64
@@ -431,7 +436,8 @@ class _Automaton:
     link is the index of the next state's record, or None until ``_run``
     first takes that step. Records link by index, so an automaton holds
     no reference cycle and dies, by reference counting alone, with the
-    last node that uses it. ``index`` maps each state to its record.
+    last node that uses it. ``index`` maps each state to its record, and
+    ``enter`` is the one place that adds a record.
 
     Only normalized states with T = (A + B + C)/D <= 1 get a record. T
     stays at most 1 from such a state on (see ``_run``), and the states a
@@ -459,6 +465,23 @@ class _Automaton:
         self.records = []
         self.index = {}
 
+    def enter(self, state) -> int:
+        """The index of ``state``'s record, added if new; -1 once full."""
+        r = self.index.get(state)
+        if r is None:
+            r = len(self.records)
+            if r == _AUTOMATON_CAP:
+                return -1
+            A, B, C, D = state
+            digit = _choose(A, B, C, D)
+            self.records.append(
+                [None, None, None, None, None, None, None, None, None,
+                 (A + B).bit_length() - D.bit_length(), None, state]
+                if digit is None else [None, digit, state]
+            )
+            self.index[state] = r
+        return r
+
 
 #: Live automata, by the normalized initial state of the nodes that share
 #: one and by the consumption formula its links cache. An automaton leaves
@@ -485,10 +508,11 @@ class EngineNode:
     With ``normalize_steps`` a node runs on an ``_Automaton``, shared by
     every live node that starts from the same normalized state: all
     ``average`` nodes share one, and so do all ``add`` nodes. ``at`` is
-    the record of ``state`` in it, or -1 before the first step and while
-    the node steps by arithmetic: unnormalized (``automaton`` is None),
-    with T > 1, or once its automaton is full, which it then leaves for
-    good.
+    the record of ``state`` in it, or -1 while the node is off the
+    automaton: before its first step, while T > 1, unnormalized
+    (``automaton`` is None), or once its automaton is full, which it then
+    leaves for good. Off the automaton, every step is decided afresh by
+    ``_choose``.
     """
 
     __slots__ = ("out", "state", "read", "left", "right", "normalize_steps", "automaton", "at")
@@ -550,7 +574,8 @@ def _run(node: EngineNode, want: int):
     node's state is saved and that node becomes current. Nesting depth
     costs stack entries, not Python frames.
 
-    A step on the state ``(A*v1 + B*v2 + C) / D``:
+    A step on the state ``(A*v1 + B*v2 + C) / D``, as ``_choose``
+    decides it:
 
     * R when ``D <= 2C``, giving ``(2A, 2B, 2C - D, D)``;
     * L when ``2(A + B + C) <= D``, giving ``(2A, 2B, 2C, D)``;
@@ -558,13 +583,12 @@ def _run(node: EngineNode, want: int):
       ``(4A, 4B, 4C - D, 2D)``;
     * else consume, giving ``(2A, 2B, _carry(d1, d2, A, B, C), 4D)``.
 
-    These are the tests of ``_choose`` and the rewrites of ``_emit`` and
-    ``_consume`` on one common denominator. With ``normalize_steps``,
-    each step then shifts all four right by their common trailing zero
-    bits. No odd prime can divide all four: each step is an integer
-    matrix with a power-of-two determinant, so an odd prime dividing the
-    new four divides the old four, and ``EngineNode`` starts from four
-    with gcd 1. So the strip keeps the state fully reduced without a
+    These are the rewrites of ``_emit`` and ``_consume`` on one common
+    denominator. With ``normalize_steps``, each step then shifts all four
+    right by their common trailing zero bits. No odd prime can divide all
+    four: each step is an integer matrix with a power-of-two determinant,
+    so an odd prime dividing the new four divides the old four, and
+    ``EngineNode`` starts from four with gcd 1. So the strip keeps the state fully reduced without a
     ``gcd``. Every state inside a consumption run gets the sign check
     ``C >= 0``, raising ``DomainError`` as ``AffineData`` does.
 
@@ -588,23 +612,23 @@ def _run(node: EngineNode, want: int):
     record, an emission appends the record's digit and follows its link,
     and a consumption reads one weight from each child and follows link
     ``3*d1 + d2``; the bound's offset is stored in the record. A missing
-    link is a miss: the node takes that one step by the arithmetic above
-    and, on its next turn, finds or adds the record of the state it
-    reached and links it. A node off the automaton joins it the same way
-    at the first state with T <= 1. When adding a record would pass
-    ``_AUTOMATON_CAP``, the node leaves the automaton and takes every
-    later step by arithmetic. So a node's digits, reads and states are
-    exactly those of the arithmetic alone, and ``_carry``, the sign check
-    and the strip run on every miss.
+    link is a miss: the node takes that one step by the arithmetic above.
+    Off the automaton, the node decides each step with ``_choose``. A
+    node resumed there was saved blocked on a consumption, and nothing
+    stepped it meanwhile (the graph is acyclic, so no node below it on
+    the stack reaches it), so ``_choose`` decides that consumption again.
+    After every arithmetic step, a state with T <= 1 enters the automaton
+    (``_Automaton.enter``), the link of a miss is filled with its record,
+    and the node goes on from that record. When the automaton is full,
+    the node leaves it and takes every later step by arithmetic. So a
+    node's digits, reads and states are exactly those of the arithmetic
+    alone, and ``_carry``, the sign check and the strip run on every
+    miss.
 
     If anything raises, the current node drops the digits it produced
     since it last became current, so its buffer and saved state agree.
     """
     parents = []
-    # The current node was saved blocked on a consumption, so its first
-    # step is that consumption. Nothing else steps it meanwhile: the graph
-    # is acyclic, so no node below it on the stack reaches it.
-    resumed = False
     while True:
         out = node.out
         start = produced = len(out)
@@ -616,13 +640,12 @@ def _run(node: EngineNode, want: int):
             ready = len(right_out)
         normalize_steps = node.normalize_steps
         automaton = node.automaton
-        s = node.at  # the current record, or -1 off the automaton
-        if s >= 0:
+        if automaton is not None:
             records = automaton.records
-            resumed = False  # the record knows it consumes
-        else:
+        s = node.at  # the current record, or -1 off the automaton
+        if s < 0:
             A, B, C, D = node.state
-        missed = None  # the record whose link ``link`` the next state fills
+        record = None  # the record a miss steps from
         blocked = None
         try:
             while True:
@@ -654,55 +677,12 @@ def _run(node: EngineNode, want: int):
                             produced += 1
                             continue
                         link = 0
-                    # A miss: take the step by arithmetic, and link the
-                    # record to the state it reaches on the next turn.
+                    # A miss: take the step from the record's state by arithmetic.
                     A, B, C, D = record[-1]
-                    missed = record
-                    s = -1
                 else:
-                    if produced == want and missed is None:
+                    if produced == want:
                         break
-                    if resumed:
-                        resumed = False
-                        digit = None
-                    elif D <= 2 * C:
-                        digit = _R
-                    else:
-                        total = A + B + C
-                        if 2 * total <= D:
-                            digit = _L
-                        elif 4 * total <= 3 * D and D <= 4 * C:
-                            digit = _C
-                        else:
-                            digit = None
-                    if automaton is not None:
-                        if A + B + C <= D:
-                            # Join the automaton at this state's record,
-                            # adding it if new, and go on from there.
-                            state = A, B, C, D
-                            records = automaton.records
-                            s = automaton.index.get(state)
-                            if s is None:
-                                s = len(records)
-                                if s == _AUTOMATON_CAP:
-                                    node.automaton = automaton = None
-                                    missed = None
-                                    s = -1
-                                    continue
-                                records.append(
-                                    [None, None, None, None, None, None, None, None, None,
-                                     (A + B).bit_length() - D.bit_length(), None, state]
-                                    if digit is None else [None, digit, state]
-                                )
-                                automaton.index[state] = s
-                            if missed is not None:
-                                missed[link] = s
-                                missed = None
-                            continue
-                        if missed is not None:
-                            # T > 1 gets no record, so the miss gets no link.
-                            missed = None
-                            continue
+                    digit = _choose(A, B, C, D)
                     if digit is None and i == ready:
                         more = 1
                         if A + B + C <= D:
@@ -743,6 +723,12 @@ def _run(node: EngineNode, want: int):
                         B >>= z
                         C >>= z
                         D >>= z
+                if automaton is not None and A + B + C <= D:
+                    s = automaton.enter((A, B, C, D))
+                    if s < 0:
+                        node.automaton = automaton = None
+                    elif record is not None:
+                        record[link] = s
         except BaseException:
             del out[start:]
             raise
@@ -754,7 +740,6 @@ def _run(node: EngineNode, want: int):
             node, want = blocked
         elif parents:
             node, want = parents.pop()
-            resumed = True
         else:
             return
 

@@ -17,6 +17,7 @@ from helpers import DIGITS, cycled_digits
 from lrcreal.digits import Digit, emit_value
 from lrcreal.engine import AffineData, EngineNode, StreamNode, demand, engine_states
 from lrcreal.reals import affine, average, from_rational
+from lrcreal.streams import Stream
 
 periods = st.lists(st.sampled_from(DIGITS), min_size=1, max_size=7)
 
@@ -192,6 +193,33 @@ def test_nodes_sharing_an_automaton_match_separate_runs(x, p1, p2, order):
         assert node.read == reads
         assert_same_state(node, state, True)
     assert_records_sound(first.automaton)
+
+
+def reference_stream(x):
+    """The digits ``engine_states`` emits from ``x``, as a memoized stream."""
+    digits = (digit for digit, _ in engine_states(x) if digit is not None)
+
+    def cell():
+        return next(digits), Stream(cell)
+
+    return Stream(cell)
+
+
+@settings(deadline=None, max_examples=40)
+@given(checked_states(), checked_states())
+def test_unchecked_add_resumed_off_the_automaton_matches_engine_states(x, y):
+    # An unchecked add starts at T = 2, off the automaton, and its children
+    # are engine nodes: it blocks on one and resumes off the automaton,
+    # deciding its step again. Its reference reads the children's digits as
+    # the reference produces them.
+    parent = EngineNode(1, 1, 1, 1, 0, 1, node_of(x, True), node_of(y, True))
+    rows, _ = reference(AffineData(1, 1, 1, 1, 0, 1, reference_stream(x), reference_stream(y)), True, 40)
+    for k, (_, reads, state) in enumerate(rows, 1):
+        demand(parent, k)
+        assert bytes(parent.out) == bytes(d for d, _, _ in rows[:k])
+        assert parent.read == reads
+        assert_same_state(parent, state, True)
+    assert_records_sound(parent.automaton)
 
 
 def wide_real(k=0):

@@ -1,6 +1,8 @@
 import math
 import random
 import sys
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -596,3 +598,33 @@ def test_threads_expanding_one_real_agree():
     finally:
         sys.setswitchinterval(interval)
     assert results == [expected[:n] for n in lengths]
+
+
+def test_a_second_reader_waits_for_the_first():
+    # The first reader stops inside the engine loop, in a stream cell. A
+    # second reader of the same real must wait for it: stepping the same
+    # node from the same saved state would append its digits twice.
+    entered, release = threading.Event(), threading.Event()
+
+    def slow_cell():
+        entered.set()
+        release.wait(10)
+        return Digit.R, rational_stream(Fraction(2, 7))
+
+    def real(cell):
+        return average(ExactReal(cons(Digit.L, Stream(cell))), from_rational(Fraction(1, 3)))
+
+    x = real(slow_cell)
+    try:
+        with ThreadPoolExecutor(2) as pool:
+            first = pool.submit(x.digit_string, 40)
+            assert entered.wait(10)
+            second = pool.submit(x.digit_string, 40)
+            time.sleep(0.1)
+            release.set()
+            results = first.result(timeout=60), second.result(timeout=60)
+    finally:
+        release.set()
+    expected = real(lambda: (Digit.R, rational_stream(Fraction(2, 7)))).digit_string(40)
+    assert results == (expected, expected)
+    assert len(x.node.out) == 40
