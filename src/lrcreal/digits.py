@@ -197,7 +197,12 @@ def prefix_interval(ds: Iterable[Digit]) -> Interval:
     ws = _weights(ds)
     m = _left_end(ws)
     den = 2 ** (len(ws) + 1)
-    return Interval(Fraction(m, den), Fraction(m + 2, den))
+    # m/den < (m + 2)/den holds by construction, so the result skips
+    # ``Interval``'s order check: two multiplications of n-bit integers.
+    iv = object.__new__(Interval)
+    object.__setattr__(iv, "lo", Fraction(m, den))
+    object.__setattr__(iv, "hi", Fraction(m + 2, den))
+    return iv
 
 
 def emit_value(d: Digit, r: Fraction) -> Fraction:

@@ -188,22 +188,29 @@ def compare(x: ExactReal, y: ExactReal, max_depth: int) -> Union[str, Indistingu
     monotone: if g >= 3 then 2g + k(dy) - k(dx) >= 4, and likewise for
     g <= -3, so the sign at the end of a block is the sign at the first
     depth inside it where the intervals separated. While they overlap
-    |g| <= 2, so the work is linear in the depth reached. A buffer that
-    is short is demanded to just one more depth, so a real computed by
-    the engine is never expanded past the depth where the intervals
-    separate; a rational's buffer runs ahead a block at a time anyway.
+    |g| <= 2, so the work is linear in the depth reached.
+
+    A short buffer of an engine or stream node is demanded to just one
+    more depth, so a real computed by the engine is never expanded past
+    the depth where the intervals separate. A short rational buffer is
+    demanded to twice the depth reached (at least one digit), capped at
+    ``max_depth``. A rational fills a block of at least 64 digits per
+    division anyway, so ``compare`` takes its buffer at most to twice the
+    verdict depth or to one block, and two rationals are compared in
+    about log2(depth / 64) divisions instead of depth / 64.
     """
     if max_depth < 0:
         raise ValueError("compare: max_depth must be >= 0")
     gap = 0
     nx, ny = x.node, y.node
     xs, ys = nx.out, ny.out
+    x_ahead, y_ahead = type(nx) is RationalNode, type(ny) is RationalNode
     depth = 0
     while depth < max_depth:
         if len(xs) <= depth:
-            demand(nx, depth + 1)
+            demand(nx, min(max(2 * depth, 1), max_depth) if x_ahead else depth + 1)
         if len(ys) <= depth:
-            demand(ny, depth + 1)
+            demand(ny, min(max(2 * depth, 1), max_depth) if y_ahead else depth + 1)
         end = min(len(xs), len(ys), max_depth)
         if end == depth + 1:  # the common case while an engine real is demanded
             gap = 2 * gap + ys[depth] - xs[depth]

@@ -51,6 +51,19 @@ def test_prefix_interval_matches_refine_fold(ds):
     assert prefix_interval(iter(ds)) == refine_fold(ds)
 
 
+@given(long_digit_lists)
+def test_prefix_interval_equals_the_checked_interval(ds):
+    # prefix_interval builds its result without Interval's order check;
+    # it must still equal, field for field, the interval the check passes.
+    iv = prefix_interval(ds)
+    checked = Interval(iv.lo, iv.hi)
+    assert iv == checked and hash(iv) == hash(checked)
+    assert (type(iv), repr(iv)) == (Interval, repr(checked))
+    assert iv.lo < iv.hi
+    with pytest.raises(ValueError):
+        Interval(Fraction(1), Fraction(0))
+
+
 @given(digit_lists)
 def test_width_law(ds):
     assert prefix_interval(ds).width == Fraction(1, 2 ** len(ds))

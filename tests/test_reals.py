@@ -1,3 +1,4 @@
+import ast
 import math
 import random
 import sys
@@ -5,6 +6,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -362,6 +364,100 @@ def test_compare_stops_an_engine_partner_at_the_separating_depth():
             if verdict in (LESS, GREATER):
                 assert len(y.node.out) == depth
                 assert len(x.node.out) >= depth
+
+
+def test_compare_stops_an_engine_partner_at_the_separating_depth_deep():
+    # As above with max depths of 1,000 and more, so the rational's
+    # buffer is demanded to twice the depth reached several times over;
+    # the engine real must still stop exactly at the separating depth.
+    rng = random.Random(97)
+    for _ in range(24):
+        p, q = rand_fraction(rng), rand_fraction(rng)
+        if rng.random() < 0.5:
+            ca = cb = Fraction(1, 2)
+            cc = Fraction(0)
+        else:
+            ca, cb = Fraction(rng.randint(0, 3), 8), Fraction(rng.randint(0, 3), 8)
+            cc = Fraction(rng.randint(0, 4), 16)
+        value = ca * p + cb * q + cc
+        max_depth = rng.randint(1000, 2500)
+        delta = rng.choice((0, 1, -1, 3)) * Fraction(1, 2 ** rng.randint(500, max_depth))
+        r = min(max(value + delta, Fraction(0)), Fraction(1))
+
+        def fresh():
+            return from_rational(r), affine(ca, cb, cc, from_rational(p), from_rational(q))
+
+        x, y = fresh()
+        xs, ys = list(take(x.digits, max_depth)), list(take(y.digits, max_depth))
+        for swap in (False, True):
+            x, y = fresh()
+            if swap:
+                verdict, depth = gap_loop(ys, xs, max_depth)
+                assert compare(y, x, max_depth) == verdict
+            else:
+                verdict, depth = gap_loop(xs, ys, max_depth)
+                assert compare(x, y, max_depth) == verdict
+            if verdict in (LESS, GREATER):
+                assert len(y.node.out) == depth
+                assert depth <= len(x.node.out) <= max(2 * depth, _FILL_BLOCK)
+
+
+@given(
+    st.integers(1, 10 ** 6).flatmap(lambda den: st.tuples(st.integers(0, den), st.just(den))),
+    st.integers(4, 3000),
+    st.sampled_from((0, 1, 2, 4, 8)),
+    st.booleans(),
+    st.integers(0, 3100),
+)
+@example((1, 3), 3000, 4, True, 3000)
+@example((1, 3), 3000, 0, False, 3000)
+@example((999999, 1000000), 2000, 1, False, 2100)
+@settings(deadline=None)
+def test_deep_rational_compare_matches_gap_loop(fraction, d, k, below, max_depth):
+    # y = x -+ k * 2**-d has a denominator of about d bits, so a search
+    # that reaches depth d doubles both rational buffers several times.
+    x = Fraction(*fraction)
+    delta = Fraction(k, 2 ** d)
+    y = x - delta if (below and x >= delta) or x + delta > 1 else x + delta
+    xs = long_division(x.numerator, x.denominator, max_depth)
+    ys = long_division(y.numerator, y.denominator, max_depth)
+    verdict, depth = gap_loop(xs, ys, max_depth)
+    rx, ry = from_rational(x), from_rational(y)
+    assert compare(rx, ry, max_depth) == verdict
+    # each buffer ends at most at twice the verdict depth, or at one block
+    assert max(len(rx.node.out), len(ry.node.out)) <= max(2 * depth, _FILL_BLOCK)
+
+
+def test_readme_library_block():
+    # Run README's "Library" block statement by statement; every
+    # expression's comment is the repr of its result, or a claim below.
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    claims = {
+        "width 2**-40 interval containing 1/2":
+            lambda iv: iv.width == Fraction(1, 2 ** 40) and iv.contains(Fraction(1, 2)),
+        "1/3 + 1/6":
+            lambda z: compare(z, from_rational(Fraction(1, 2)), 200) == Indistinguishable(Fraction(1, 2 ** 200)),
+    }
+    lines = block.splitlines()
+    scope = {}
+    checked = 0
+    for stmt in ast.parse(block).body:
+        source = lines[stmt.lineno - 1]
+        comment = source.split("#", 1)[1].strip() if "#" in source else None
+        if isinstance(stmt, ast.Expr):
+            value = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), scope)
+        else:
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), scope)
+            value = scope[stmt.targets[0].id] if isinstance(stmt, ast.Assign) else None
+        if comment is None:
+            continue
+        if comment in claims:
+            assert claims[comment](value), source
+        else:
+            assert repr(value) == comment, source
+        checked += 1
+    assert checked == 6
 
 
 def reference_stream(x, forced):
