@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .digits import _fraction_text, _text_int
+from .digits import _fraction_text, _int_text, _text_int
 from .errors import DomainError, ExprParseError
 from .reals import ExactReal, affine, average, from_rational
 from .streams import fib_stream, increasing_to_depth, local_fib_to_depth, take
@@ -326,7 +326,7 @@ def fib_command(count: int) -> str:
     if count < 0:
         raise ValueError("count must be >= 0")
     s = fib_stream(1, 1)
-    elems = " ".join(str(v) for v in take(s, count))
+    elems = " ".join(_int_text(v) for v in take(s, count))
     inc = str(increasing_to_depth(s, count)).lower()
     loc = str(local_fib_to_depth(s, count)).lower()
     return "%s | increasing: %s | local_fib: %s" % (elems, inc, loc)

@@ -32,8 +32,8 @@ for any positive-coefficient state.
 
 Reals are nodes of a graph, and each node keeps an append-only buffer
 ``out`` of the digits it has produced, a ``bytearray`` of their weights:
-``Digit`` members appear only in the stream views of a buffer and in what
-``production_step`` returns. A ``RationalNode`` (long division)
+``Digit`` members appear only in the stream views of a buffer and in the
+pair-form reference below. A ``RationalNode`` (long division)
 and a ``StreamNode`` (over an arbitrary digit ``Stream``) are leaves; an
 ``EngineNode`` holds its state and two child nodes, and reads their
 buffers by index, so a child read by several parents is computed once.
@@ -74,24 +74,24 @@ nodes' steps are decided by ``_choose`` and taken by the arithmetic.
 Nodes that start from the same state share one automaton, held weakly
 in a registry, which dies with the last of them.
 
-``production_step`` and ``produce_stream`` run the same loop from
-``AffineData``, a named tuple ``(a, a', b, b', c, c', v1, v2)`` whose
-constructor checks the signs. A digit is its own weight (``Digit`` is
-an ``IntEnum``). ``engine_states`` is the step-at-a-time reference that
-tests compare the loop against: it yields a checked ``AffineData`` after
-every step, built from the same helpers that ``decide``, ``prod_*``,
-``consume`` and ``normalize`` apply to a single state. It decides with
-``_choose`` and consumes with ``_carry``, the loop's own decision and
-consumption formula, on the pairs put over the denominator a'b'c'. All
-tests and rewrites are exact integer arithmetic; nothing here touches
-floating point.
+``AffineData`` is the state in pair form, a named tuple ``(a, a', b, b',
+c, c', v1, v2)`` whose constructor checks the signs. A digit is its own
+weight (``Digit`` is an ``IntEnum``). ``engine_states`` is the
+step-at-a-time definition of the engine that ``_run`` memoizes: it
+yields a checked ``AffineData`` after every step, built from the helpers
+behind ``decide``, ``prod_*``, ``consume`` and ``normalize``, and
+``production_step`` is its first emission. ``_common`` is the one
+conversion from pairs to the loop's ``(A, B, C, D)``: the reference
+decides (``_choose``) and consumes (``_carry``) on it, and an
+``EngineNode`` starts from it. All tests and rewrites are exact integer
+arithmetic; nothing here touches floating point.
 """
 
 from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 from functools import partial
-from math import gcd, lcm
+from math import gcd
 from threading import RLock
 from typing import Iterator, Optional, Tuple
 from weakref import WeakValueDictionary
@@ -177,7 +177,7 @@ def _common(a, a_den, b, b_den, c, c_den):
     """The state over the common denominator a'b'c': ``(A, B, C, D)``.
 
     The value is ``(A*v1 + B*v2 + C) / D``: the four integers the engine
-    loop keeps, here for one pair-form state.
+    loop keeps; the one conversion from pairs, for the reference and nodes.
     """
     return a * b_den * c_den, b * a_den * c_den, c * a_den * b_den, a_den * b_den * c_den
 
@@ -225,12 +225,20 @@ def _carry(d1: Digit, d2: Digit, A, B, C):
     return 4 * C + d1 * A + d2 * B
 
 
+def _weight(digit) -> int:
+    """A stream head as a weight: an int 0, 1 or 2, else ``DomainError``."""
+    if isinstance(digit, int) and digit in (0, 1, 2):
+        return digit
+    shown = _fraction_text(Fraction(digit)) if isinstance(digit, int) else repr(digit)
+    raise DomainError("a stream digit must have weight 0, 1 or 2, got %s" % shown)
+
+
 def _consume(a, a_den, b, b_den, c, c_den, v1, v2):
     """Read one digit from each input; both input denominators double."""
     d1, v1 = v1.force()
     d2, v2 = v2.force()
     A, B, C, D = _common(a, a_den, b, b_den, c, c_den)
-    return a, 2 * a_den, b, 2 * b_den, _carry(d1, d2, A, B, C), 4 * D, v1, v2
+    return a, 2 * a_den, b, 2 * b_den, _carry(_weight(d1), _weight(d2), A, B, C), 4 * D, v1, v2
 
 
 def _reduce(a, a_den, b, b_den, c, c_den):
@@ -310,8 +318,9 @@ def normalize(x: AffineData) -> AffineData:
 def engine_states(x: AffineData, normalize_steps: bool = True) -> Iterator[Tuple[Optional[Digit], AffineData]]:
     """Every engine step from ``x`` on: ``(emitted digit or None, state)``.
 
-    The step-at-a-time reference for ``production_step``: each step applies
-    the helpers behind ``decide``, ``prod_*``, ``consume`` and ``normalize``
+    The step-at-a-time definition of the engine, which ``_run`` memoizes
+    and ``production_step`` reads one digit of: each step applies the
+    helpers behind ``decide``, ``prod_*``, ``consume`` and ``normalize``
     and builds a checked ``AffineData``. Consumption steps yield None.
     Infinite; for tests and diagnostics that watch coefficients evolve.
     """
@@ -382,7 +391,7 @@ class StreamNode:
     in place, and an engine node, which forcing ``rest`` would run inside
     this call, is handed back instead. So a chain of reals built lazily
     from streams, through any number of stream leaves, also runs on the
-    explicit stack. A head whose weight is not 0, 1 or 2 raises
+    explicit stack. A head that is not an int of weight 0, 1 or 2 raises
     ``DomainError`` and stays unread.
     """
 
@@ -407,11 +416,7 @@ class StreamNode:
                 if blocked is not None:
                     return blocked
             digit, tail = rest.force()
-            if digit not in (0, 1, 2):
-                raise DomainError("a stream digit must have weight 0, 1 or 2, got %s" % (
-                    _fraction_text(Fraction(digit)) if isinstance(digit, int) else repr(digit)
-                ))
-            out.append(digit)
+            out.append(_weight(digit))
             self.rest = tail
         return None
 
@@ -496,14 +501,14 @@ class EngineNode:
     ``out`` holds the weights of the digits produced so far, one byte
     each, and ``read`` the input digits consumed from each child.
     ``state`` is the four integers ``(A, B, C, D)`` after them, the value
-    ``(A*left + B*right + C) / D``: the three pairs over one denominator,
-    the least common multiple of theirs, and with ``normalize_steps``
-    divided by the gcd of all four. Steps scale A, B and D by powers of
-    two, so only C can turn negative, and the engine loop checks
-    ``C >= 0``. The children are nodes, read by index into their ``out``,
-    so a node read by several parents is computed once. Like every node it
-    has a ``fill``; only ``_run`` steps it, so its ``fill`` names what to
-    run.
+    ``(A*left + B*right + C) / D``: the three pairs put over one
+    denominator by ``_common`` and, with ``normalize_steps``, divided by
+    the gcd of all four, the unique reduced form. Steps scale A, B and D
+    by powers of two, so only C can turn negative, and the engine loop
+    checks ``C >= 0``. The children are nodes, read by index into their
+    ``out``, so a node read by several parents is computed once. Like
+    every node it has a ``fill``; only ``_run`` steps it, so its ``fill``
+    names what to run.
 
     With ``normalize_steps`` a node runs on an ``_Automaton``, shared by
     every live node that starts from the same normalized state: all
@@ -519,8 +524,7 @@ class EngineNode:
 
     def __init__(self, a, a_den, b, b_den, c, c_den, left, right, normalize_steps: bool = True):
         self.out = bytearray()
-        den = lcm(a_den, b_den, c_den)
-        state = a * (den // a_den), b * (den // b_den), c * (den // c_den), den
+        state = _common(a, a_den, b, b_den, c, c_den)
         automaton = None
         if normalize_steps:
             g = gcd(*state)
@@ -779,20 +783,11 @@ def stream_node(stream: Stream):
 def production_step(x: AffineData, normalize_steps: bool = True) -> Tuple[Digit, AffineData]:
     """Run consumptions until a digit comes out; at most measure(x) of them.
 
-    One digit of the engine loop: the state runs as an ``EngineNode`` over
-    its two input streams until it has emitted, and comes back as the
-    state after that emission, whose inputs are the tails left after the
-    consumptions. Its three pairs share the node's denominator D; with
-    ``normalize_steps`` each is reduced, which makes them the reference's
-    normalized coefficients, since reduced fractions are unique.
+    The first emission of ``engine_states(x, normalize_steps)``: the digit
+    and the state after it, whose inputs are the tails left after the
+    consumptions, with each pair reduced when ``normalize_steps`` is on.
     """
-    node = EngineNode(*x.coefficients, StreamNode(x.v1), StreamNode(x.v2), normalize_steps)
-    demand(node, 1)
-    A, B, C, D = node.state
-    coefficients = A, D, B, D, C, D
-    if normalize_steps:
-        coefficients = _reduce(*coefficients)
-    return _DIGITS[node.out[0]], AffineData(*coefficients, node.left.rest, node.right.rest)
+    return next(step for step in engine_states(x, normalize_steps) if step[0] is not None)
 
 
 def produce_stream(x: AffineData, normalize_steps: bool = True) -> Stream:

@@ -1,6 +1,7 @@
 """Node buffers hold digit weights as bytes; ``Digit`` lives only at the API
-boundary, in stream views and in what ``production_step`` returns."""
+boundary, in stream views and in the pair-form reference ``engine_states``."""
 
+import itertools
 import sys
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from helpers import DIGITS, prefixed_stream
 from lrcreal.digits import Digit, digits_to_str, prefix_interval
-from lrcreal.engine import AffineData, EngineNode, NodeStream, StreamNode, production_step
+from lrcreal.engine import AffineData, EngineNode, NodeStream, StreamNode, engine_states
 from lrcreal.errors import DomainError
 from lrcreal.reals import ExactReal, affine, average, from_rational
 from lrcreal.streams import cons, constant, take
@@ -88,10 +89,8 @@ def test_buffers_hold_weights_and_views_hand_out_digits(tree, n):
             ca.numerator, ca.denominator, cb.numerator, cb.denominator, cc.numerator, cc.denominator,
             left.digits, right.digits,
         )
-        stepped = []
-        for _ in range(min(n, 12)):
-            d, state = production_step(state)
-            stepped.append(d)
+        emitted = (d for d, _ in engine_states(state) if d is not None)
+        stepped = list(itertools.islice(emitted, min(n, 12)))
         assert all(type(d) is Digit for d in stepped)
         assert stepped == digits[:len(stepped)]
 
@@ -133,3 +132,8 @@ def test_stream_leaf_rejects_stray_weights():
         ExactReal(constant(-10 ** 5000)).digit_string(1)
     with pytest.raises(DomainError, match="got 'R'"):
         ExactReal(constant("R")).digit_string(1)
+    # 1.0 and Fraction(1) equal the weight 1 but are no ints.
+    with pytest.raises(DomainError, match=r"got 1\.0$"):
+        ExactReal(constant(1.0)).digit_string(1)
+    with pytest.raises(DomainError, match=r"got Fraction\(1, 1\)$"):
+        ExactReal(constant(Fraction(1))).digit_string(1)

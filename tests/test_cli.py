@@ -25,6 +25,7 @@ from lrcreal.digits import prefix_interval, str_to_digits
 from lrcreal.engine import RationalNode
 from lrcreal.errors import DomainError, ExprParseError
 from lrcreal.reals import from_rational
+from lrcreal.streams import fib_stream, take
 
 
 def run_cli(*args):
@@ -238,6 +239,20 @@ def test_fib_command():
     assert fib_command(10).split(" | ")[0].split()[-1] == "55"
     line = fib_command(0)
     assert "increasing: true" in line and "local_fib: true" in line
+
+
+def test_fib_command_past_int_str_limit():
+    # Element 3,064 has more than 640 decimal digits, the lowest limit
+    # Python accepts; the line renders it in full all the same.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        line = fib_command(3065)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    last = line.split(" | ")[0].split()[-1]
+    assert len(last) > 640
+    assert int(last) == take(fib_stream(1, 1), 3065)[-1]
 
 
 def test_main_in_process_exit_codes():

@@ -291,6 +291,20 @@ def test_production_step_emits_and_advances():
     digit, nxt = production_step(x)
     assert digit is Digit.R
     assert (nxt.c, nxt.c_den) == (0, 1)
+    node = EngineNode(*x.coefficients, StreamNode(x.v1), StreamNode(x.v2))
+    demand(node, 1)
+    assert node.out == bytes([Digit.R]) and node.state == (0, 0, 0, 1)
+
+
+def test_reference_and_loop_reject_stray_heads():
+    # The pair-form reference checks the heads it reads as a stream leaf does.
+    for head in (3, 1.0):
+        x = AffineData(1, 1, 1, 1, 0, 1, constant(head), L)
+        for step in (consume, production_step):
+            with pytest.raises(DomainError, match="weight 0, 1 or 2"):
+                step(x)
+        with pytest.raises(DomainError, match="weight 0, 1 or 2"):
+            demand(EngineNode(*x.coefficients, StreamNode(x.v1), StreamNode(x.v2)), 1)
 
 
 def test_engine_states_reports_consumes_and_emits():
@@ -329,10 +343,12 @@ def pair_values(x):
 
 @given(in_range_states(), st.booleans())
 def test_production_step_matches_engine_states(x, normalize_steps):
-    # One node runs alongside, so its raw four integers are seen after
-    # every digit. Normalized, they are the reference's reduced pairs over
-    # the least common multiple of its denominators, which holds exactly
-    # when the four have gcd 1: the power-of-two strip reduces fully.
+    # ``production_step`` is the reference's first emission, so stepping it
+    # digit by digit must give one reference run, tails included. One node
+    # runs alongside, so the loop's raw four integers are seen after every
+    # digit. Normalized, they are the reference's reduced pairs over the
+    # least common multiple of its denominators, which holds exactly when
+    # the four have gcd 1: the power-of-two strip reduces fully.
     # Unnormalized integers depend on the representation, so only the
     # values of the pairs are compared.
     node = EngineNode(*x.coefficients, StreamNode(x.v1), StreamNode(x.v2), normalize_steps)
@@ -357,7 +373,9 @@ def test_production_step_matches_engine_states(x, normalize_steps):
 def test_production_step_checks_states_inside_a_consumption_run(monkeypatch):
     # The first consumption from c = 0 leaves c negative; the second (two R
     # inputs) makes it positive again, and the digit after it (C) yields a
-    # valid state. Only the check on the state between them can object.
+    # valid state. Only the check on the state between them can object:
+    # ``AffineData`` in the reference, and ``C >= 0`` in the engine loop,
+    # with and without normalization.
     carry = engine_module._carry
 
     def negative_from_zero(d1, d2, A, B, C):
@@ -371,3 +389,8 @@ def test_production_step_checks_states_inside_a_consumption_run(monkeypatch):
         production_step(x)
     with pytest.raises(DomainError):
         next(engine_states(x))
+    for normalize_steps in (True, False):
+        node = EngineNode(*x.coefficients, StreamNode(x.v1), StreamNode(x.v2), normalize_steps)
+        with pytest.raises(DomainError, match="non-negative"):
+            demand(node, 1)
+        assert len(node.out) == 0
