@@ -69,10 +69,10 @@ form a finite set: the odd part of D is fixed, ``(A + B)/D`` stays
 within a factor of 16, and the resolution of ``C/D`` is bounded by that
 of ``A/D`` and ``B/D``. Finite can still be huge, so an automaton holds
 at most ``_AUTOMATON_CAP`` records. A node's first step, steps from
-states with ``(A + B + C)/D > 1``, steps past the cap and unnormalized
-nodes' steps are decided by ``_choose`` and taken by the arithmetic.
-Nodes that start from the same state share one automaton, held weakly
-in a registry, which dies with the last of them.
+states with ``(A + B + C)/D > 1`` and steps past the cap are decided by
+``_choose`` and taken by the arithmetic. Nodes that start from the same
+state share one automaton, held weakly in a registry, which dies with
+the last of them.
 
 ``AffineData`` is the state in pair form, a named tuple ``(a, a', b, b',
 c, c', v1, v2)`` whose constructor checks the signs. A digit is its own
@@ -226,10 +226,11 @@ def _carry(d1: Digit, d2: Digit, A, B, C):
 
 
 def _weight(digit) -> int:
-    """A stream head as a weight: an int 0, 1 or 2, else ``DomainError``."""
-    if isinstance(digit, int) and digit in (0, 1, 2):
+    """A stream head as a weight: an int 0, 1 or 2 but no ``bool``, else ``DomainError``."""
+    exact = isinstance(digit, int) and digit.__class__ is not bool
+    if exact and digit in (0, 1, 2):
         return digit
-    shown = _fraction_text(Fraction(digit)) if isinstance(digit, int) else repr(digit)
+    shown = _fraction_text(Fraction(digit)) if exact else repr(digit)
     raise DomainError("a stream digit must have weight 0, 1 or 2, got %s" % shown)
 
 
@@ -502,42 +503,37 @@ class EngineNode:
     each, and ``read`` the input digits consumed from each child.
     ``state`` is the four integers ``(A, B, C, D)`` after them, the value
     ``(A*left + B*right + C) / D``: the three pairs put over one
-    denominator by ``_common`` and, with ``normalize_steps``, divided by
-    the gcd of all four, the unique reduced form. Steps scale A, B and D
+    denominator by ``_common`` and divided by the gcd of all four, the
+    unique reduced form, which every step keeps. Steps scale A, B and D
     by powers of two, so only C can turn negative, and the engine loop
     checks ``C >= 0``. The children are nodes, read by index into their
     ``out``, so a node read by several parents is computed once. Like
     every node it has a ``fill``; only ``_run`` steps it, so its ``fill``
     names what to run.
 
-    With ``normalize_steps`` a node runs on an ``_Automaton``, shared by
-    every live node that starts from the same normalized state: all
-    ``average`` nodes share one, and so do all ``add`` nodes. ``at`` is
-    the record of ``state`` in it, or -1 while the node is off the
-    automaton: before its first step, while T > 1, unnormalized
-    (``automaton`` is None), or once its automaton is full, which it then
-    leaves for good. Off the automaton, every step is decided afresh by
-    ``_choose``.
+    A node runs on an ``_Automaton``, shared by every live node that
+    starts from the same reduced state: all ``average`` nodes share one,
+    and so do all ``add`` nodes. ``at`` is the record of ``state`` in it,
+    or -1 while the node is off the automaton: before its first step,
+    while T > 1, or once its automaton is full (``automaton`` is then
+    None), which it leaves for good. Off the automaton, every step is
+    decided afresh by ``_choose``.
     """
 
-    __slots__ = ("out", "state", "read", "left", "right", "normalize_steps", "automaton", "at")
+    __slots__ = ("out", "state", "read", "left", "right", "automaton", "at")
 
-    def __init__(self, a, a_den, b, b_den, c, c_den, left, right, normalize_steps: bool = True):
+    def __init__(self, a, a_den, b, b_den, c, c_den, left, right):
         self.out = bytearray()
         state = _common(a, a_den, b, b_den, c, c_den)
-        automaton = None
-        if normalize_steps:
-            g = gcd(*state)
-            state = tuple(v // g for v in state)
-            key = state, _carry
-            automaton = _AUTOMATA.get(key)
-            if automaton is None:
-                automaton = _AUTOMATA[key] = _Automaton()
-        self.state = state
+        g = gcd(*state)
+        self.state = state = tuple(v // g for v in state)
         self.read = 0
         self.left = left
         self.right = right
-        self.normalize_steps = normalize_steps
+        key = state, _carry
+        automaton = _AUTOMATA.get(key)
+        if automaton is None:
+            automaton = _AUTOMATA[key] = _Automaton()
         self.automaton = automaton
         self.at = -1
 
@@ -588,13 +584,13 @@ def _run(node: EngineNode, want: int):
     * else consume, giving ``(2A, 2B, _carry(d1, d2, A, B, C), 4D)``.
 
     These are the rewrites of ``_emit`` and ``_consume`` on one common
-    denominator. With ``normalize_steps``, each step then shifts all four
-    right by their common trailing zero bits. No odd prime can divide all
-    four: each step is an integer matrix with a power-of-two determinant,
-    so an odd prime dividing the new four divides the old four, and
-    ``EngineNode`` starts from four with gcd 1. So the strip keeps the state fully reduced without a
-    ``gcd``. Every state inside a consumption run gets the sign check
-    ``C >= 0``, raising ``DomainError`` as ``AffineData`` does.
+    denominator. Each step then shifts all four right by their common
+    trailing zero bits. No odd prime can divide all four: each step is an
+    integer matrix with a power-of-two determinant, so an odd prime
+    dividing the new four divides the old four, and ``EngineNode`` starts
+    from four with gcd 1. So the strip keeps the state fully reduced
+    without a ``gcd``. Every state inside a consumption run gets the sign
+    check ``C >= 0``, raising ``DomainError`` as ``AffineData`` does.
 
     A blocked node asks its children for a proven lower bound on the
     input digits it reads before its wanted digits, so no child produces
@@ -612,15 +608,12 @@ def _run(node: EngineNode, want: int):
     its sum falls to 1, can emit R with no consumption, so it asks for
     one digit.
 
-    A node with an ``_Automaton`` steps on it wherever it can. At a
-    record, an emission appends the record's digit and follows its link,
-    and a consumption reads one weight from each child and follows link
+    A node steps on its ``_Automaton`` wherever it can. At a record, an
+    emission appends the record's digit and follows its link, and a
+    consumption reads one weight from each child and follows link
     ``3*d1 + d2``; the bound's offset is stored in the record. A missing
     link is a miss: the node takes that one step by the arithmetic above.
-    Off the automaton, the node decides each step with ``_choose``. A
-    node resumed there was saved blocked on a consumption, and nothing
-    stepped it meanwhile (the graph is acyclic, so no node below it on
-    the stack reaches it), so ``_choose`` decides that consumption again.
+    Off the automaton, the node decides each step with ``_choose``.
     After every arithmetic step, a state with T <= 1 enters the automaton
     (``_Automaton.enter``), the link of a miss is filled with its record,
     and the node goes on from that record. When the automaton is full,
@@ -628,6 +621,11 @@ def _run(node: EngineNode, want: int):
     node's digits, reads and states are exactly those of the arithmetic
     alone, and ``_carry``, the sign check and the strip run on every
     miss.
+
+    A real defined through a ``Stream`` may read itself, so a node can be
+    current while it waits lower on the stack. Each activation loads the
+    node's state, read index and record from the node and saves them when
+    it stops, so a resumed node goes on from where it was last left.
 
     If anything raises, the current node drops the digits it produced
     since it last became current, so its buffer and saved state agree.
@@ -642,7 +640,6 @@ def _run(node: EngineNode, want: int):
         ready = len(left_out)  # input digits both children hold
         if len(right_out) < ready:
             ready = len(right_out)
-        normalize_steps = node.normalize_steps
         automaton = node.automaton
         if automaton is not None:
             records = automaton.records
@@ -719,14 +716,13 @@ def _run(node: EngineNode, want: int):
                         C = 2 * C - D if digit is _R else 2 * C
                     out.append(digit)
                     produced += 1
-                if normalize_steps:
-                    g = A | B | C | D
-                    if not g & 1:
-                        z = (g & -g).bit_length() - 1
-                        A >>= z
-                        B >>= z
-                        C >>= z
-                        D >>= z
+                g = A | B | C | D
+                if not g & 1:
+                    z = (g & -g).bit_length() - 1
+                    A >>= z
+                    B >>= z
+                    C >>= z
+                    D >>= z
                 if automaton is not None and A + B + C <= D:
                     s = automaton.enter((A, B, C, D))
                     if s < 0:
@@ -790,7 +786,7 @@ def production_step(x: AffineData, normalize_steps: bool = True) -> Tuple[Digit,
     return next(step for step in engine_states(x, normalize_steps) if step[0] is not None)
 
 
-def produce_stream(x: AffineData, normalize_steps: bool = True) -> Stream:
+def produce_stream(x: AffineData) -> Stream:
     """The digit stream of the state's value, produced lazily.
 
     Productive for every positive-coefficient state. The digits denote
@@ -799,4 +795,4 @@ def produce_stream(x: AffineData, normalize_steps: bool = True) -> Stream:
     meaningless otherwise. Callers wanting the checked guarantee go
     through the real-number layer.
     """
-    return NodeStream(EngineNode(*x.coefficients, stream_node(x.v1), stream_node(x.v2), normalize_steps))
+    return NodeStream(EngineNode(*x.coefficients, stream_node(x.v1), stream_node(x.v2)))

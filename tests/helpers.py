@@ -1,11 +1,12 @@
 """Shared generators for randomized tests: rational-backed digit streams
 and random engine states with exactly known values."""
 
+import itertools
 import random
 from fractions import Fraction
 
 from lrcreal.digits import UNIT, Digit, Interval, emit_value, refine
-from lrcreal.engine import AffineData
+from lrcreal.engine import AffineData, engine_states
 from lrcreal.reals import from_rational
 from lrcreal.streams import Stream, cons, constant, unfold
 
@@ -81,6 +82,12 @@ def rand_state(rng: random.Random, max_coeff: int = 60) -> AffineData:
         rng.randint(0, max_coeff), rng.randint(1, max_coeff),
         rand_digit_stream(rng), rand_digit_stream(rng),
     )
+
+
+def reference_digits(x: AffineData, n: int, normalize_steps: bool) -> list:
+    """The first ``n`` digits ``engine_states`` emits from ``x``."""
+    emitted = (digit for digit, _ in engine_states(x, normalize_steps) if digit is not None)
+    return list(itertools.islice(emitted, n))
 
 
 def rand_valued_state(rng: random.Random, max_coeff: int = 40):

@@ -107,13 +107,13 @@ def total(state):
     return Fraction(state.a, state.a_den) + Fraction(state.b, state.b_den) + Fraction(state.c, state.c_den)
 
 
-def node_of(x, normalize_steps):
-    return EngineNode(*x.coefficients, StreamNode(x.v1), StreamNode(x.v2), normalize_steps)
+def node_of(x):
+    return EngineNode(*x.coefficients, StreamNode(x.v1), StreamNode(x.v2))
 
 
 def assert_same_state(node, state, normalize_steps):
     """The node's four integers are the reference's pairs over one
-    denominator: exactly, when normalized, else as values."""
+    denominator: exactly, when the reference normalizes, else as values."""
     A, B, C, D = node.state
     if normalize_steps:
         den = lcm(state.a_den, state.b_den, state.c_den)
@@ -141,10 +141,12 @@ def assert_records_sound(automaton):
 
 
 def run_against_reference(x, normalize_steps, n):
+    """A node, which always normalizes, against the reference run in
+    either mode."""
     rows, states = reference(x, normalize_steps, n)
-    node = node_of(x, normalize_steps)
+    node = node_of(x)
     automaton = node.automaton
-    assert (automaton is None) == (not normalize_steps)
+    assert automaton is not None
     for k, (_, reads, state) in enumerate(rows, 1):
         demand(node, k)
         assert bytes(node.out) == bytes(d for d, _, _ in rows[:k])
@@ -154,8 +156,7 @@ def run_against_reference(x, normalize_steps, n):
     reached = [total(state) <= 1 for state in states]
     if True in reached:
         assert all(reached[reached.index(True):])
-    if automaton is not None:
-        assert_records_sound(automaton)
+    assert_records_sound(automaton)
     return node, automaton
 
 
@@ -169,9 +170,8 @@ def test_node_matches_engine_states_digit_by_digit(x, normalize_steps):
 @given(wide_states(), st.booleans())
 def test_node_matches_engine_states_past_the_cap(x, normalize_steps):
     node, automaton = run_against_reference(x, normalize_steps, 200)
-    if normalize_steps:
-        assert len(automaton.records) == engine_module._AUTOMATON_CAP
-        assert node.automaton is None
+    assert len(automaton.records) == engine_module._AUTOMATON_CAP
+    assert node.automaton is None
 
 
 @settings(deadline=None, max_examples=40)
@@ -180,7 +180,7 @@ def test_nodes_sharing_an_automaton_match_separate_runs(x, p1, p2, order):
     # Two nodes with equal coefficients over different inputs, demanded in
     # interleaved order, each give what the reference gives alone.
     y = x._replace(v1=cycled_digits(p1), v2=cycled_digits(p2))
-    first, second = node_of(x, True), node_of(y, True)
+    first, second = node_of(x), node_of(y)
     assert first.automaton is second.automaton
     expected = {id(first): reference(x, True, 30)[0], id(second): reference(y, True, 30)[0]}
     for pick in order:
@@ -212,7 +212,7 @@ def test_unchecked_add_resumed_off_the_automaton_matches_engine_states(x, y):
     # are engine nodes: it blocks on one and resumes off the automaton,
     # deciding its step again. Its reference reads the children's digits as
     # the reference produces them.
-    parent = EngineNode(1, 1, 1, 1, 0, 1, node_of(x, True), node_of(y, True))
+    parent = EngineNode(1, 1, 1, 1, 0, 1, node_of(x), node_of(y))
     rows, _ = reference(AffineData(1, 1, 1, 1, 0, 1, reference_stream(x), reference_stream(y)), True, 40)
     for k, (_, reads, state) in enumerate(rows, 1):
         demand(parent, k)
@@ -278,8 +278,6 @@ def test_equal_coefficients_share_one_automaton_and_the_registry_empties():
         distinct = [automata[0], automata[2], automata[4], automata[6], automata[7], automata[8]]
         assert len({id(a) for a in distinct}) == len(distinct)
         assert len(engine_module._AUTOMATA) == before + len(distinct)
-        unnormalized = EngineNode(1, 2, 1, 2, 0, 1, third.node, fifth.node, normalize_steps=False)
-        assert unnormalized.automaton is None
         del reals, automata, distinct, x
         assert len(engine_module._AUTOMATA) == before
     finally:

@@ -132,8 +132,13 @@ def test_stream_leaf_rejects_stray_weights():
         ExactReal(constant(-10 ** 5000)).digit_string(1)
     with pytest.raises(DomainError, match="got 'R'"):
         ExactReal(constant("R")).digit_string(1)
-    # 1.0 and Fraction(1) equal the weight 1 but are no ints.
+    # 1.0, Fraction(1) and True equal the weight 1 but are no weights; a
+    # stream of True once read as CCCC, the interval around 1/2.
     with pytest.raises(DomainError, match=r"got 1\.0$"):
         ExactReal(constant(1.0)).digit_string(1)
     with pytest.raises(DomainError, match=r"got Fraction\(1, 1\)$"):
         ExactReal(constant(Fraction(1))).digit_string(1)
+    with pytest.raises(DomainError, match=r"got True$"):
+        ExactReal(constant(True)).digit_string(4)
+    with pytest.raises(DomainError, match=r"got False$"):
+        ExactReal(constant(False)).digit_string(4)

@@ -2,9 +2,11 @@
 
 For 50 random in-range states over seeded periodic L/R/C inputs, the
 sha256 of the first 300 produced digits must match the digests recorded
-from the nine-row consumption table engine, with per-step normalization
-on and off. Any rewrite of the engine that changes a single digit fails
-here, and the inputs reach every one of the nine consumption digit pairs.
+from the nine-row consumption table engine, both for an engine node,
+which normalizes every step, and for the step-at-a-time reference with
+normalization off. Any rewrite of the engine that changes a single digit
+fails here, and the inputs reach every one of the nine consumption digit
+pairs.
 """
 
 import hashlib
@@ -12,7 +14,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from helpers import DIGITS, rand_state
+from helpers import DIGITS, rand_state, reference_digits
 import lrcreal.engine as engine_module
 from lrcreal.streams import take
 
@@ -92,9 +94,12 @@ def test_produced_digits_match_pinned_digests(monkeypatch):
     monkeypatch.setattr(engine_module, "_carry", recording)
     states = in_range_states(2024, len(DIGESTS))
     for i, (x, expected) in enumerate(zip(states, DIGESTS)):
-        for normalize_steps in (True, False):
-            digits = take(engine_module.produce_stream(x, normalize_steps), 300)
+        runs = {
+            "node": take(engine_module.produce_stream(x), 300),
+            "unnormalized reference": reference_digits(x, 300, normalize_steps=False),
+        }
+        for run, digits in runs.items():
             text = "".join(str(d) for d in digits)
             got = hashlib.sha256(text.encode()).hexdigest()
-            assert got == expected, "state %d %r, normalize_steps=%s" % (i, x, normalize_steps)
+            assert got == expected, "state %d %r, %s" % (i, x, run)
     assert seen == set(itertools.product(DIGITS, DIGITS))

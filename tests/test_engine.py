@@ -17,6 +17,7 @@ from helpers import (
     rand_state,
     rand_valued_state,
     rational_stream,
+    reference_digits,
 )
 from lrcreal.digits import Digit, emit_value, prefix_interval
 from lrcreal.engine import (
@@ -263,8 +264,9 @@ def test_consume_runs_bounded_by_measure():
 
 
 def test_scale_invariance_of_produced_digits():
-    # run with per-step normalization off, so the scaled state really does
-    # evolve with distinct coefficients the whole way
+    # The reference runs with per-step normalization off, so the scaled
+    # state really does evolve with distinct coefficients the whole way;
+    # a node, which always normalizes, gives the same digits.
     rng = random.Random(59)
     for _ in range(100):
         x = rand_state(rng)
@@ -272,9 +274,9 @@ def test_scale_invariance_of_produced_digits():
             x.a * 3, x.a_den * 3, x.b * 7, x.b_den * 7, x.c * 5, x.c_den * 5
         )
         assert decide(scaled) is decide(x)
-        assert take(produce_stream(scaled, normalize_steps=False), 200) == take(
-            produce_stream(x, normalize_steps=False), 200
-        )
+        digits = reference_digits(x, 200, normalize_steps=False)
+        assert reference_digits(scaled, 200, normalize_steps=False) == digits
+        assert take(produce_stream(scaled), 200) == digits
 
 
 def test_productivity_is_unconditional():
@@ -298,7 +300,7 @@ def test_production_step_emits_and_advances():
 
 def test_reference_and_loop_reject_stray_heads():
     # The pair-form reference checks the heads it reads as a stream leaf does.
-    for head in (3, 1.0):
+    for head in (3, 1.0, True):
         x = AffineData(1, 1, 1, 1, 0, 1, constant(head), L)
         for step in (consume, production_step):
             with pytest.raises(DomainError, match="weight 0, 1 or 2"):
@@ -344,20 +346,23 @@ def pair_values(x):
 @given(in_range_states(), st.booleans())
 def test_production_step_matches_engine_states(x, normalize_steps):
     # ``production_step`` is the reference's first emission, so stepping it
-    # digit by digit must give one reference run, tails included. One node
-    # runs alongside, so the loop's raw four integers are seen after every
-    # digit. Normalized, they are the reference's reduced pairs over the
-    # least common multiple of its denominators, which holds exactly when
-    # the four have gcd 1: the power-of-two strip reduces fully.
-    # Unnormalized integers depend on the representation, so only the
-    # values of the pairs are compared.
-    node = EngineNode(*x.coefficients, StreamNode(x.v1), StreamNode(x.v2), normalize_steps)
+    # digit by digit must give one reference run, tails included, with or
+    # without the reference's per-step normalization. One node runs
+    # alongside, so the loop's raw four integers are seen after every
+    # digit. They denote the reference's pairs, and against normalized
+    # pairs they are exactly the reduced pairs over the least common
+    # multiple of their denominators, which holds exactly when the four
+    # have gcd 1: the power-of-two strip reduces fully. Unnormalized pairs
+    # depend on the representation, so only their values are compared.
+    node = EngineNode(*x.coefficients, StreamNode(x.v1), StreamNode(x.v2))
     emitted = ((d, state) for d, state in engine_states(x, normalize_steps) if d is not None)
     for k, (expected, state) in enumerate(itertools.islice(emitted, 40), 1):
         digit, x = production_step(x, normalize_steps)
         demand(node, k)
         assert digit is expected and node.out[-1] == expected
         assert x.v1 is state.v1 and x.v2 is state.v2
+        A, B, C, D = node.state
+        assert (Fraction(A, D), Fraction(B, D), Fraction(C, D)) == pair_values(state)
         if normalize_steps:
             assert x.coefficients == state.coefficients
             den = lcm(state.a_den, state.b_den, state.c_den)
@@ -366,16 +371,14 @@ def test_production_step_matches_engine_states(x, normalize_steps):
             )
         else:
             assert pair_values(x) == pair_values(state)
-            A, B, C, D = node.state
-            assert (Fraction(A, D), Fraction(B, D), Fraction(C, D)) == pair_values(state)
 
 
 def test_production_step_checks_states_inside_a_consumption_run(monkeypatch):
     # The first consumption from c = 0 leaves c negative; the second (two R
     # inputs) makes it positive again, and the digit after it (C) yields a
     # valid state. Only the check on the state between them can object:
-    # ``AffineData`` in the reference, and ``C >= 0`` in the engine loop,
-    # with and without normalization.
+    # ``AffineData`` in the reference, with and without normalization, and
+    # ``C >= 0`` in the engine loop.
     carry = engine_module._carry
 
     def negative_from_zero(d1, d2, A, B, C):
@@ -385,12 +388,12 @@ def test_production_step_checks_states_inside_a_consumption_run(monkeypatch):
 
     monkeypatch.setattr(engine_module, "_carry", negative_from_zero)
     x = AffineData(1, 1, 1, 1, 0, 1, constant(Digit.R), constant(Digit.R))
-    with pytest.raises(DomainError):
-        production_step(x)
-    with pytest.raises(DomainError):
-        next(engine_states(x))
     for normalize_steps in (True, False):
-        node = EngineNode(*x.coefficients, StreamNode(x.v1), StreamNode(x.v2), normalize_steps)
-        with pytest.raises(DomainError, match="non-negative"):
-            demand(node, 1)
-        assert len(node.out) == 0
+        with pytest.raises(DomainError):
+            production_step(x, normalize_steps)
+        with pytest.raises(DomainError):
+            next(engine_states(x, normalize_steps))
+    node = EngineNode(*x.coefficients, StreamNode(x.v1), StreamNode(x.v2))
+    with pytest.raises(DomainError, match="non-negative"):
+        demand(node, 1)
+    assert len(node.out) == 0

@@ -622,6 +622,27 @@ def test_series_through_stream_leaves_over_stream_leaves_runs_on_the_explicit_st
     assert iv.lo <= low and low + Fraction(2, math.factorial(301)) <= iv.hi
 
 
+def test_a_productive_self_referential_real():
+    # x = R :: R :: avg(x, 0), so x = 3/4 + x/8 = 6/7. The average's node
+    # reads x's stream leaf, which reads the average's node: the engine
+    # loop meets that node again while it waits lower on the stack, and
+    # each activation must resume from the node's saved state.
+    zero = from_rational(Fraction(0))
+
+    def self_referential():
+        x = ExactReal(Stream(lambda: (Digit.R, cons(Digit.R, average(x, zero).digits))))
+        return x
+
+    x = self_referential()
+    iv = x.to_interval(2000)
+    assert iv.lo <= Fraction(6, 7) <= iv.hi
+    # Grown a few digits at a time, it gives the same digits.
+    y = self_referential()
+    for n in range(1, 2000, 37):
+        y.digit_string(n)
+    assert y.digit_string(2000) == x.digit_string(2000)
+
+
 def long_division_stream(r):
     """The digits of ``r`` as an ``unfold``, one long-division step per cell."""
     den = r.denominator
