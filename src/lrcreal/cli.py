@@ -1,12 +1,16 @@
 """Command line front end.
 
-Expression grammar (whitespace insensitive)::
+Expression grammar::
 
     expr     := rational
               | "avg" "(" expr "," expr ")"
               | "add" "(" expr "," expr ")"
               | "affine" "(" rational "," rational "," rational ";" expr "," expr ")"
     rational := integer | integer "/" integer
+
+An integer is an optional "-" and then ``str.isdecimal`` digits (Arabic-Indic
+ones too); ``str.isspace`` whitespace may stand between any other two
+tokens, and a name ends where ``str.isalpha`` does.
 
 Rational literals standing for numbers must lie in [0, 1]. ``add`` is the
 unchecked combination 1*x + 1*y + 0; every leaf is a rational, so each
@@ -20,12 +24,13 @@ bounded by time and memory, not by Python's recursion limit.
 
 import argparse
 import random
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .digits import _fraction_text, _int_text, _text_int
+from .digits import _BLOCK, _fraction_text, _int_text, _text_int
 from .errors import DomainError, ExprParseError
 from .reals import ExactReal, affine, average, from_rational
 from .streams import fib_stream, increasing_to_depth, local_fib_to_depth, take
@@ -75,120 +80,101 @@ class Affine:
 Expr = Union[RatLit, Avg, Add, Affine]
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+#: An operand's first token, after any whitespace: a name and "(", or a
+#: rational's signs and digits; a "/" with no digits after it is an error.
+#: ``\s`` and ``\d`` match exactly ``str.isspace`` and ``str.isdecimal``.
+_OPERAND = re.compile(r"\s*(?:(avg|add|affine)\s*\(|(-?)(\d+)\s*(?:/\s*(-?)(\d*))?)")
+_SPACE = re.compile(r"\s*")
 
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
 
-    def _found(self) -> str:
-        if self.pos >= len(self.text):
-            return "end of input"
-        return repr(self.text[self.pos])
+def _fail(text: str, pos: int, expected: str):
+    raise ExprParseError(pos + 1, expected, repr(text[pos]) if pos < len(text) else "end of input")
 
-    def _fail(self, expected: str):
-        raise ExprParseError(self.pos + 1, expected, self._found())
 
-    def _expect(self, ch: str):
-        self._skip_ws()
-        if self.pos >= len(self.text) or self.text[self.pos] != ch:
-            self._fail("'%s'" % ch)
-        self.pos += 1
+def _int(sign: str, digits: str) -> int:
+    value = int(digits) if len(digits) < _BLOCK else _text_int(digits)  # int() refuses long runs
+    return -value if sign else value
 
-    def _peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def _integer(self) -> int:
-        self._skip_ws()
-        negative = self._peek() == "-"
-        if negative:
-            self.pos += 1
-        start = self.pos
-        if not self._peek().isdecimal():
-            self._fail("an integer")
-        while self._peek().isdecimal():
-            self.pos += 1
-        value = _text_int(self.text[start:self.pos])
-        return -value if negative else value
+def _rational(m):
+    """Numerator and denominator of the rational ``m`` matched."""
+    sign, digits, den_sign, den_digits = m.group(2, 3, 4, 5)
+    if den_digits == "":
+        _fail(m.string, m.end(), "an integer")
+    num = _int(sign, digits)
+    if den_digits is None:
+        return num, 1
+    den = _int(den_sign, den_digits)
+    if den == 0:
+        raise DomainError("rational with zero denominator: %s/0" % _fraction_text(Fraction(num)))
+    return num, den
 
-    def _rational(self) -> Fraction:
-        num = self._integer()
-        self._skip_ws()
-        if self._peek() == "/":
-            self.pos += 1
-            den = self._integer()
-            if den == 0:
-                raise DomainError("rational with zero denominator: %s/0" % _fraction_text(Fraction(num)))
-            return Fraction(num, den)
-        return Fraction(num)
 
-    def _identifier(self) -> str:
-        start = self.pos
-        while self._peek().isalpha():
-            self.pos += 1
-        return self.text[start:self.pos]
-
-    def _call(self, name: str) -> list:
-        """An open call after its name: ``[type, coefficients, operands]``.
-
-        Consumes "(" and, for affine, the coefficients and ";".
-        """
-        self._expect("(")
-        if name == "avg":
-            return [Avg, (), []]
-        if name == "add":
-            return [Add, (), []]
-        ca = self._rational()
-        self._expect(",")
-        cb = self._rational()
-        self._expect(",")
-        cc = self._rational()
-        self._expect(";")
-        return [Affine, (ca, cb, cc), []]
-
-    def parse(self) -> Expr:
-        """The whole text as one expression, with an explicit stack of open calls."""
-        calls = []
-        while True:
-            self._skip_ws()
-            ch = self._peek()
-            if ch.isalpha():
-                at = self.pos
-                name = self._identifier()
-                if name not in ("avg", "add", "affine"):
-                    self.pos = at
-                    self._fail("'avg', 'add' or 'affine'")
-                calls.append(self._call(name))
-                continue
-            if not (ch.isdecimal() or ch == "-"):
-                self._fail("a rational literal, 'avg', 'add' or 'affine'")
-            value = self._rational()
-            if value < 0 or value > 1:
-                raise DomainError("literal %s outside [0, 1]" % _fraction_text(value))
-            e = RatLit(value)
-            # Close every call this operand completes.
-            while calls:
-                kind, coefficients, operands = calls[-1]
-                operands.append(e)
-                if len(operands) == 1:
-                    self._expect(",")
-                    break
-                self._expect(")")
-                calls.pop()
-                e = kind(*coefficients, *operands)
-            else:
-                self._skip_ws()
-                if self.pos != len(self.text):
-                    self._fail("end of input")
-                return e
+def _skip(text: str, pos: int, ch: str) -> int:
+    """The position after ``ch``, which must come next but for whitespace."""
+    if not text.startswith(ch, pos):
+        pos = _SPACE.match(text, pos).end()
+        if not text.startswith(ch, pos):
+            _fail(text, pos, "'%s'" % ch)
+    return pos + 1
 
 
 def parse_expr(text: str) -> Expr:
-    """Parse an expression; ExprParseError and DomainError carry positions."""
-    return _Parser(text).parse()
+    """Parse an expression; ExprParseError and DomainError carry positions.
+
+    Each step reads one token with one regex match; open calls, each
+    ``[type, coefficients, operands]``, wait on an explicit stack.
+    """
+    calls = []
+    pos = 0
+    while True:
+        m = _OPERAND.match(text, pos)
+        if m is None:
+            pos = end = _SPACE.match(text, pos).end()
+            while text[end:end + 1].isalpha():
+                end += 1
+            if text[pos:end] in ("avg", "add", "affine"):
+                _fail(text, _SPACE.match(text, end).end(), "'('")
+            if end > pos:
+                _fail(text, pos, "'avg', 'add' or 'affine'")
+            if text.startswith("-", pos):
+                _fail(text, pos + 1, "an integer")
+            _fail(text, pos, "a rational literal, 'avg', 'add' or 'affine'")
+        pos = m.end()
+        name = m[1]
+        if name == "affine":
+            coefficients = []
+            for ch in ",,;":
+                c = _OPERAND.match(text, pos)
+                if c is None or c[1]:
+                    pos = _SPACE.match(text, pos).end()
+                    _fail(text, pos + text.startswith("-", pos), "an integer")
+                coefficients.append(Fraction(*_rational(c)))
+                pos = _skip(text, c.end(), ch)
+            calls.append([Affine, coefficients, []])
+            continue
+        if name:
+            calls.append([Avg if name == "avg" else Add, (), []])
+            continue
+        num, den = _rational(m)
+        if not (0 <= num <= den or den <= num <= 0):
+            raise DomainError("literal %s outside [0, 1]" % _fraction_text(Fraction(num, den)))
+        e = RatLit(Fraction(num, den))
+        # Close every call this operand completes.
+        while calls:
+            kind, coefficients, operands = calls[-1]
+            operands.append(e)
+            if len(operands) == 1:
+                pos = _skip(text, pos, ",")
+                break
+            pos = _skip(text, pos, ")")
+            calls.pop()
+            e = kind(*coefficients, *operands)
+        else:
+            pos = _SPACE.match(text, pos).end()
+            if pos < len(text):
+                _fail(text, pos, "end of input")
+            return e
 
 
 def format_expr(e: Expr) -> str:
@@ -241,7 +227,7 @@ def build_real(e: Expr) -> ExactReal:
             value = lv + rv
             if value > 1:
                 raise DomainError("add: sum %s exceeds 1" % _fraction_text(value))
-            built.append((affine(Fraction(1), Fraction(1), Fraction(0), left, right, checked=False), value))
+            built.append((affine(1, 1, 0, left, right, checked=False), value))
         else:
             built.append((affine(node.ca, node.cb, node.cc, left, right), node.ca * lv + node.cb * rv + node.cc))
     return built[0][0]

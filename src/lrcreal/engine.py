@@ -43,10 +43,10 @@ is short. ``demand`` grows a buffer: ``_run`` is the engine loop, which
 steps nodes in turn on an explicit stack, resumes each from its saved
 state and read index, and asks its children for a proven lower bound on
 the digits it will read, computed from the live state once its
-coefficients sum to at most 1. Nesting depth costs stack entries, not
-Python frames. No engine node produces a digit that is not asked for; a
-rational leaf, which needs no engine, fills a block of digits with one
-big-integer division and so runs ahead of demand by less than one block.
+coefficients sum to at most 1. No engine node produces a digit that is
+not asked for; a rational leaf, which needs no engine, fills a block of
+digits with one big-integer division and so runs ahead of demand by less
+than one block.
 ``NodeStream`` is the ``Stream`` view of a buffer.
 
 The loop keeps an engine node's state as four integers ``(A, B, C, D)``,
@@ -59,20 +59,11 @@ The loop is a memoized finite automaton: an affine map with rational
 coefficients on redundant digit streams is computable by one (Konecny,
 "Real functions incrementally computable by finite automata", TCS 315,
 2004). An ``_Automaton`` holds one record per normalized state with
-``(A + B + C)/D <= 1`` that the loop has stepped from: the state, its
-decision, and links to the next state's record, one for an emission
-and nine for a consumption, one per pair of input digits. The loop
-takes a step by the arithmetic the first time, enters the state it
-reaches (``_Automaton.enter``, the one place a record is built) and
-fills the link at once; afterwards it only follows the link. Such states
-form a finite set: the odd part of D is fixed, ``(A + B)/D`` stays
-within a factor of 16, and the resolution of ``C/D`` is bounded by that
-of ``A/D`` and ``B/D``. Finite can still be huge, so an automaton holds
-at most ``_AUTOMATON_CAP`` records. A node's first step, steps from
-states with ``(A + B + C)/D > 1`` and steps past the cap are decided by
-``_choose`` and taken by the arithmetic. Nodes that start from the same
-state share one automaton, held weakly in a registry, which dies with
-the last of them.
+``(A + B + C)/D <= 1`` that the loop has stepped from, linked to the
+records of the states after it; it says why such states are finitely
+many, and ``_run`` how a node steps on and off it. Nodes that start from
+the same state share one automaton, held weakly in a registry, which
+dies with the last of them.
 
 ``AffineData`` is the state in pair form, a named tuple ``(a, a', b, b',
 c, c', v1, v2)`` whose constructor checks the signs. A digit is its own
@@ -422,6 +413,12 @@ class StreamNode:
         return None
 
 
+def _ceil_log2(N: int, D: int) -> int:
+    """ceil(log2(N / D)) for N, D > 0."""
+    e = N.bit_length() - D.bit_length()
+    return e + (N > D << e if e >= 0 else N << -e > D)
+
+
 #: Records one automaton holds at most. Past it a node takes the
 #: arithmetic step and allocates nothing, so coefficients whose states
 #: never repeat (say, over denominators near a million) cost at most this
@@ -438,7 +435,7 @@ class _Automaton:
     ``(A, B, C, D)`` itself. Before them come its links: one for an
     emitting state; nine for a consuming one, indexed by ``3*d1 + d2``
     for input weights d1 and d2, and then the offset
-    ``bitlen(A + B) - bitlen(D)`` of its demand bound (see ``_run``). A
+    ``_ceil_log2(A + B, D)`` of its demand bound (see ``_run``). A
     link is the index of the next state's record, or None until ``_run``
     first takes that step. Records link by index, so an automaton holds
     no reference cycle and dies, by reference counting alone, with the
@@ -482,7 +479,7 @@ class _Automaton:
             digit = _choose(A, B, C, D)
             self.records.append(
                 [None, None, None, None, None, None, None, None, None,
-                 (A + B).bit_length() - D.bit_length(), None, state]
+                 _ceil_log2(A + B, D), None, state]
                 if digit is None else [None, digit, state]
             )
             self.index[state] = r
@@ -524,9 +521,9 @@ class EngineNode:
 
     def __init__(self, a, a_den, b, b_den, c, c_den, left, right):
         self.out = bytearray()
-        state = _common(a, a_den, b, b_den, c, c_den)
-        g = gcd(*state)
-        self.state = state = tuple(v // g for v in state)
+        A, B, C, D = _common(a, a_den, b, b_den, c, c_den)
+        g = gcd(A, B, C, D)
+        self.state = state = A // g, B // g, C // g, D // g
         self.read = 0
         self.left = left
         self.right = right
@@ -602,11 +599,11 @@ def _run(node: EngineNode, want: int):
     with T <= 1, whatever the node started as, each emission needs
     s <= 1/2 (R: C/D >= 1/2; L: T <= 1/2; C: T <= 3/4 and C/D >= 1/4).
     An emission doubles s and a consumption halves it, so k more digits
-    need m more consumptions with s * 2**(k - 1 - m) <= 1/2. As
-    s > 2**(bitlen(A + B) - bitlen(D) - 1), m >= k + bitlen(A + B) -
-    bitlen(D). A state with T > 1, such as an unchecked ``add`` before
-    its sum falls to 1, can emit R with no consumption, so it asks for
-    one digit.
+    need m more consumptions with s * 2**(k - 1 - m) <= 1/2, so
+    m >= k + log2(s), and m >= k + ``_ceil_log2(A + B, D)`` as m is an
+    integer. A state with T > 1, such as an unchecked ``add`` before its
+    sum falls to 1, can emit R with no consumption, so it asks for one
+    digit.
 
     A node steps on its ``_Automaton`` wherever it can. At a record, an
     emission appends the record's digit and follows its link, and a
@@ -687,7 +684,7 @@ def _run(node: EngineNode, want: int):
                     if digit is None and i == ready:
                         more = 1
                         if A + B + C <= D:
-                            more = want - produced + (A + B).bit_length() - D.bit_length()
+                            more = want - produced + _ceil_log2(A + B, D)
                             if more < 1:
                                 more = 1
                         blocked = left.fill(i + more) or right.fill(i + more)

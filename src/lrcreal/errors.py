@@ -6,7 +6,7 @@ class DomainError(ValueError):
 
 
 class ExprParseError(ValueError):
-    """Expression syntax error with a 1-based byte position."""
+    """Expression syntax error with a 1-based character position."""
 
     def __init__(self, position, expected, found):
         self.position = position

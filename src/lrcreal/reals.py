@@ -11,6 +11,7 @@ reals; ``compare`` bounds its search and says so when it gives up.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 from typing import Union
 
 from .digits import Interval, _fraction_repr, _fraction_text, _left_end, _zero_padded, digits_to_str, prefix_interval
@@ -100,21 +101,28 @@ def _real(node) -> ExactReal:
     return x
 
 
+def _ratio(r, what: str):
+    if r.__class__ is bool or not isinstance(r, Rational):
+        raise DomainError("%s needs an int or a rational, got %r" % (what, r))
+    return r.numerator, r.denominator
+
+
 def from_rational(r: Fraction) -> ExactReal:
     """Exact representation of a rational in [0, 1].
 
-    Its digits come by long division (see ``RationalNode``); only L and R
-    digits ever appear.
+    ``r`` is an int or a ``numbers.Rational`` such as ``Fraction``;
+    anything else, ``bool`` included, raises DomainError. Its digits come
+    by long division (see ``RationalNode``); only L and R digits appear.
     """
-    r = Fraction(r)
-    if r < 0 or r > 1:
-        raise DomainError("from_rational needs a value in [0, 1], got %s" % _fraction_text(r))
-    return _real(RationalNode(r.numerator, r.denominator))
+    num, den = _ratio(r, "from_rational")
+    if num < 0 or num > den:
+        raise DomainError("from_rational needs a value in [0, 1], got %s" % _fraction_text(Fraction(num, den)))
+    return _real(RationalNode(num, den))
 
 
 def average(x: ExactReal, y: ExactReal) -> ExactReal:
     """Midpoint of two reals; always lands back in [0, 1]."""
-    return affine(Fraction(1, 2), Fraction(1, 2), Fraction(0), x, y)
+    return _real(EngineNode(1, 2, 1, 2, 0, 1, x.node, y.node))
 
 
 def affine(
@@ -127,27 +135,27 @@ def affine(
 ) -> ExactReal:
     """The combination ca*x + cb*y + cc as an exact real.
 
-    Coefficients must be non-negative rationals. In checked mode,
-    ca + cb + cc <= 1 is required, which guarantees the result stays in
-    [0, 1] whatever the inputs. Unchecked mode drops that guard, and its
-    digits are sound only when the true value is at most 1; nothing here
-    can check that. Above 1 the engine emits R forever, and its
-    coefficients grow by one bit per digit: for 3/4 + 3/4 they are 10,
-    20 and 40 bits wide at digits 10, 20 and 40.
+    Coefficients must be non-negative ints or ``numbers.Rational``s, as
+    for ``from_rational``. In checked mode, ca + cb + cc <= 1 is
+    required, which guarantees the result stays in [0, 1] whatever the
+    inputs. Unchecked mode drops that guard, and its digits are sound
+    only when the true value is at most 1; nothing here can check that.
+    Above 1 the engine emits R forever, and its coefficients grow by one
+    bit per digit: for 3/4 + 3/4 they are 10, 20 and 40 bits wide at
+    digits 10, 20 and 40.
     """
-    ca, cb, cc = Fraction(ca), Fraction(cb), Fraction(cc)
-    if ca < 0 or cb < 0 or cc < 0:
+    a, a_den = _ratio(ca, "affine")
+    b, b_den = _ratio(cb, "affine")
+    c, c_den = _ratio(cc, "affine")
+    if a < 0 or b < 0 or c < 0:
         raise DomainError("affine coefficients must be non-negative")
-    if checked and ca + cb + cc > 1:
+    node = EngineNode(a, a_den, b, b_den, c, c_den, x.node, y.node)
+    A, B, C, D = node.state  # (A + B + C)/D is ca + cb + cc
+    if checked and A + B + C > D:
         raise DomainError(
-            "checked affine needs ca + cb + cc <= 1, got %s" % _fraction_text(ca + cb + cc)
+            "checked affine needs ca + cb + cc <= 1, got %s" % _fraction_text(Fraction(A + B + C, D))
         )
-    return _real(EngineNode(
-        ca.numerator, ca.denominator,
-        cb.numerator, cb.denominator,
-        cc.numerator, cc.denominator,
-        x.node, y.node,
-    ))
+    return _real(node)
 
 
 #: ``compare`` verdicts: strict orderings, or a bound on how close they are.

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import read_int
+from helpers import read_int, reference_parse
 from lrcreal.cli import (
     Add,
     Affine,
@@ -73,10 +73,99 @@ def test_parse_errors():
         ("\u00b2", 1, "a rational literal, 'avg', 'add' or 'affine'"),
         ("avg(1/3, \u00b9/2)", 10, "a rational literal, 'avg', 'add' or 'affine'"),
         ("1/\u00b2", 3, "an integer"),
+        # a name ends where str.isalpha does, though a regex \w runs on
+        ("avg\u00b2(1, 1)", 4, "'('"),
+        ("avg(1/3 1/2)", 9, "','"),
     ):
         with pytest.raises(ExprParseError) as err:
             parse_expr(text)
         assert (err.value.position, err.value.expected) == (position, expected)
+
+
+def parse_outcome(parse, text):
+    """What ``parse`` makes of ``text``: the Expr, or the error's details."""
+    try:
+        return parse(text)
+    except ExprParseError as err:
+        return ("syntax", err.position, err.expected, err.found)
+    except DomainError as err:
+        return ("domain", str(err))
+
+
+#: Whitespace between tokens, and the decimal digits 0-9 in three scripts:
+#: ASCII, Arabic-Indic and fullwidth.
+SPACES = ("", "", " ", "\t", "\n", "\u00a0")
+DIGIT_SETS = tuple("".join(chr(zero + i) for i in range(10)) for zero in (0x30, 0x660, 0xFF10))
+
+
+def integer_token(draw, n: int) -> str:
+    """``n`` as one token: a sign, then digits in any mix of scripts."""
+    return "".join(DIGIT_SETS[draw(st.integers(0, 2))][int(ch)] if ch.isdigit() else ch for ch in str(n))
+
+
+@st.composite
+def rational_tokens(draw):
+    """A rational, mostly in [0, 1], one in six below or above or over 0."""
+    num = draw(st.integers(0, 9) if draw(st.integers(0, 5)) else st.integers(-3, 40))
+    if num in (0, 1) and draw(st.booleans()):
+        return [integer_token(draw, num)]
+    den = draw(st.integers(max(num, 1), 40) if draw(st.integers(0, 5)) else st.integers(-3, 3))
+    return [integer_token(draw, num), "/", integer_token(draw, den)]
+
+
+def call_tokens(operands):
+    """``avg``, ``add`` or ``affine`` around two operand token lists."""
+    binary = st.tuples(st.sampled_from(["avg", "add"]), operands, operands).map(
+        lambda t: [t[0], "(", *t[1], ",", *t[2], ")"])
+    coefficients = st.tuples(rational_tokens(), rational_tokens(), rational_tokens())
+    affine = st.tuples(coefficients, operands, operands).map(
+        lambda t: ["affine", "(", *t[0][0], ",", *t[0][1], ",", *t[0][2], ";", *t[1], ",", *t[2], ")"])
+    return st.one_of(binary, affine)
+
+
+@st.composite
+def spaced_texts(draw):
+    """A random tree's tokens, joined by random whitespace."""
+    tokens = draw(st.recursive(rational_tokens(), call_tokens, max_leaves=8))
+    return "".join(draw(st.sampled_from(SPACES)) + token for token in tokens) + draw(st.sampled_from(SPACES))
+
+
+#: Pieces a mutation inserts. ``²`` and ``¼`` pass ``str.isdigit`` and
+#: regex ``\w`` but neither ``str.isdecimal`` nor ``str.isalpha``; U+0301
+#: is a combining mark; the rest are separators, a zero denominator, a
+#: name, a stray letter and digits.
+PIECES = ("\u00b2", "\u00bc", "\u0301", "-", "/", ";", ",", "(", ")", "1/0", "avg", "x", " ", "\u0663", "7")
+
+
+@st.composite
+def mutated_texts(draw):
+    """A spaced text, truncated, then with pieces inserted or deleted."""
+    chars = list(draw(spaced_texts()))
+    if draw(st.booleans()):
+        del chars[draw(st.integers(0, len(chars))):]
+    for _ in range(draw(st.integers(0, 4))):
+        at = draw(st.integers(0, len(chars)))
+        if chars and draw(st.booleans()):
+            del chars[min(at, len(chars) - 1)]
+        else:
+            chars.insert(at, draw(st.sampled_from(PIECES)))
+    return "".join(chars)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(spaced_texts(), mutated_texts()))
+@example("avg\u00b2(1, 1)")
+@example("avg(1/3 1/2)")
+@example("avg(1/3, 1/6) )")
+@example("affine(1/0, x")
+@example("affine\u00a0x")
+@example("affine(- 1, 0, 0; 0, 0)")
+@example("add(1/ , 1)")
+@example("avg(-1/-2, \u0663/-\u0664)")
+def test_parse_matches_the_reference_parser(text):
+    # The same Expr, or the same syntax error (position, expected,
+    # found), or the same domain error first.
+    assert parse_outcome(parse_expr, text) == parse_outcome(reference_parse, text)
 
 
 def rand_expr(rng, depth):

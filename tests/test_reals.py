@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -206,6 +207,29 @@ def test_affine_guards():
         affine(Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), x, x)
     with pytest.raises(DomainError):
         affine(Fraction(-1, 2), Fraction(0), Fraction(0), x, x)
+
+
+def test_inputs_that_are_not_exact_rationals_raise_domain_error():
+    # A float would run as its binary value (0.1 as 3602879701896397/2**55),
+    # nan and inf raised ValueError and OverflowError, and True read as 1.
+    x = from_rational(Fraction(1, 3))
+    for bad in (0.1, float("nan"), float("inf"), True, False, Decimal("0.5"), "1/3"):
+        with pytest.raises(DomainError) as err:
+            from_rational(bad)
+        assert str(err.value) == "from_rational needs an int or a rational, got %r" % (bad,)
+        for at in range(3):
+            coefficients = [Fraction(0)] * 3
+            coefficients[at] = bad
+            with pytest.raises(DomainError) as err:
+                affine(*coefficients, x, x)
+            assert str(err.value) == "affine needs an int or a rational, got %r" % (bad,)
+    # ints and Fractions read as before
+    assert from_rational(1).digit_string(8) == "RRRRRRRR"
+    assert from_rational(0).digit_string(8) == "LLLLLLLL"
+    by_fractions = affine(Fraction(1, 2), Fraction(1, 4), Fraction(0), x, x)
+    assert affine(Fraction(1, 2), Fraction(1, 4), 0, x, x).digit_string(64) == by_fractions.digit_string(64)
+    unchecked = affine(Fraction(1), Fraction(1), Fraction(0), x, x, checked=False)
+    assert affine(1, 1, 0, x, x, checked=False).digit_string(64) == unchecked.digit_string(64)
 
 
 def test_domain_errors_past_int_str_limit():
