@@ -278,24 +278,23 @@ def consume(x: AffineData) -> AffineData:
     return AffineData(*_consume(*x))
 
 
-def _doublings_to_dominate(p: int, q: int) -> int:
-    """Smallest n >= 0 with (2**n) * q >= 8 * p."""
-    n = 0
-    target = 8 * p
-    while (q << n) < target:
-        n += 1
-    return n
+def _ceil_log2(N: int, D: int) -> int:
+    """ceil(log2(N / D)) for N, D > 0."""
+    e = N.bit_length() - D.bit_length()
+    return e + (N > D << e if e >= 0 else N << -e > D)
 
 
 def measure(x: AffineData) -> int:
     """Termination measure: total doublings until both ratios are <= 1/8.
 
-    Positive whenever ``decide`` says consume, strictly decreasing under
-    ``consume`` (which doubles both denominators), and zero only on
-    states where some production test holds. Scale-invariant per pair,
-    so normalization never disturbs it.
+    Per pair p/q, the smallest n >= 0 with ``q * 2**n >= 8p``: 0 when
+    p = 0, else ``max(0, ceil(log2(8p/q)))``. Positive whenever
+    ``decide`` says consume, strictly decreasing under ``consume`` (which
+    doubles both denominators), and zero only on states where some
+    production test holds. Scale-invariant per pair, so normalization
+    never disturbs it.
     """
-    return _doublings_to_dominate(x.a, x.a_den) + _doublings_to_dominate(x.b, x.b_den)
+    return sum(max(0, _ceil_log2(8 * p, q)) for p, q in ((x.a, x.a_den), (x.b, x.b_den)) if p > 0)
 
 
 def normalize(x: AffineData) -> AffineData:
@@ -411,12 +410,6 @@ class StreamNode:
             out.append(_weight(digit))
             self.rest = tail
         return None
-
-
-def _ceil_log2(N: int, D: int) -> int:
-    """ceil(log2(N / D)) for N, D > 0."""
-    e = N.bit_length() - D.bit_length()
-    return e + (N > D << e if e >= 0 else N << -e > D)
 
 
 #: Records one automaton holds at most. Past it a node takes the
@@ -571,23 +564,24 @@ def _run(node: EngineNode, want: int):
     node's state is saved and that node becomes current. Nesting depth
     costs stack entries, not Python frames.
 
-    A step on the state ``(A*v1 + B*v2 + C) / D``, as ``_choose``
-    decides it:
+    A step on the state ``(A*v1 + B*v2 + C) / D`` is the one ``_choose``
+    decides:
 
-    * R when ``D <= 2C``, giving ``(2A, 2B, 2C - D, D)``;
-    * L when ``2(A + B + C) <= D``, giving ``(2A, 2B, 2C, D)``;
-    * C when ``4(A + B + C) <= 3D`` and ``D <= 4C``, giving
-      ``(4A, 4B, 4C - D, 2D)``;
+    * emitting the digit of weight k (R when ``D <= 2C``, L when
+      ``2(A + B + C) <= D``, C when ``4(A + B + C) <= 3D`` and
+      ``D <= 4C``) gives ``(4A, 4B, 4C - k*D, 2D)``;
     * else consume, giving ``(2A, 2B, _carry(d1, d2, A, B, C), 4D)``.
 
     These are the rewrites of ``_emit`` and ``_consume`` on one common
     denominator. Each step then shifts all four right by their common
-    trailing zero bits. No odd prime can divide all four: each step is an
+    trailing zero bits, which takes the factor two an R or L emission
+    shares out again. No odd prime can divide all four: each step is an
     integer matrix with a power-of-two determinant, so an odd prime
     dividing the new four divides the old four, and ``EngineNode`` starts
     from four with gcd 1. So the strip keeps the state fully reduced
     without a ``gcd``. Every state inside a consumption run gets the sign
-    check ``C >= 0``, raising ``DomainError`` as ``AffineData`` does.
+    check ``C >= 0``, and the loop raises ``DomainError`` itself when it
+    fails; an emission keeps ``C >= 0``, as its test demands.
 
     A blocked node asks its children for a proven lower bound on the
     input digits it reads before its wanted digits, so no child produces
@@ -700,17 +694,12 @@ def _run(node: EngineNode, want: int):
                     B *= 2
                     D *= 4
                     if C < 0:
-                        AffineData(A, D, B, D, C, D, left, right)  # raises DomainError
+                        raise DomainError("coefficient numerators must be non-negative")
                 else:
-                    if digit is _C:
-                        A *= 4
-                        B *= 4
-                        C = 4 * C - D
-                        D *= 2
-                    else:
-                        A *= 2
-                        B *= 2
-                        C = 2 * C - D if digit is _R else 2 * C
+                    A *= 4
+                    B *= 4
+                    C = 4 * C - digit * D
+                    D *= 2
                     out.append(digit)
                     produced += 1
                 g = A | B | C | D

@@ -14,7 +14,7 @@ threads.
 """
 
 from functools import partial
-from itertools import islice
+from itertools import islice, tee
 from typing import Callable, Iterator, List, Tuple, TypeVar
 
 T = TypeVar("T")
@@ -226,20 +226,21 @@ def fib_stream(a: int, b: int) -> "Stream":
     return Stream(lambda: (a, fib_stream(b, a + b)))
 
 
+def _windows(s: "Stream", w: int, n: int) -> Iterator[tuple]:
+    """The first n runs of w consecutive elements of ``s``.
+
+    Lazy: nothing is forced until a run is asked for, n = 0 forces no
+    cell, and each run forces only the cells up to its last element.
+    """
+    copies = tee(s, w)
+    return islice(zip(*(islice(c, k, None) for k, c in enumerate(copies))), n)
+
+
 def increasing_to_depth(s: "Stream", n: int) -> bool:
     """Is every adjacent pair among the first n + 1 elements non-decreasing?"""
     if n < 0:
         raise ValueError("increasing_to_depth: n must be >= 0")
-    if n == 0:
-        return True
-    it = iter(s)
-    prev = next(it)
-    for _ in range(n):
-        cur = next(it)
-        if prev > cur:
-            return False
-        prev = cur
-    return True
+    return all(x <= y for x, y in _windows(s, 2, n))
 
 
 def local_fib_to_depth(s: "Stream", n: int) -> bool:
@@ -249,14 +250,4 @@ def local_fib_to_depth(s: "Stream", n: int) -> bool:
     """
     if n < 0:
         raise ValueError("local_fib_to_depth: n must be >= 0")
-    if n == 0:
-        return True
-    it = iter(s)
-    x = next(it)
-    y = next(it)
-    for _ in range(n):
-        z = next(it)
-        if x + y != z:
-            return False
-        x, y = y, z
-    return True
+    return all(x + y == z for x, y, z in _windows(s, 3, n))

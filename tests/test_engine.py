@@ -131,6 +131,23 @@ def test_measure_examples():
     assert measure(consume(coeff_state(1, 1, 1, 1, 0, 1))) == 4
 
 
+def doublings_to_dominate(p, q):
+    """Smallest n >= 0 with q * 2**n >= 8p, by counting."""
+    n = 0
+    while q << n < 8 * p:
+        n += 1
+    return n
+
+
+@given(
+    st.integers(0, 2**300), st.integers(1, 2**300),
+    st.integers(0, 2**300), st.integers(1, 2**300),
+)
+def test_measure_matches_its_definition(a, a_den, b, b_den):
+    x = coeff_state(a, a_den, b, b_den, 0, 1)
+    assert measure(x) == doublings_to_dominate(a, a_den) + doublings_to_dominate(b, b_den)
+
+
 def test_normalize_examples():
     assert normalize(coeff_state(2, 4, 6, 3, 0, 5)).coefficients == (1, 2, 2, 1, 0, 1)
     assert normalize(coeff_state(0, 7, 1, 2, 3, 4)).coefficients == (0, 1, 1, 2, 3, 4)

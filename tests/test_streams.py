@@ -217,6 +217,29 @@ def test_increasing_and_local_fib():
     assert local_fib_to_depth(constant(1), 0)
 
 
+def test_depth_checks_force_only_the_cells_they_read():
+    # Each check stops at its first failing window, and n = 0 reads nothing.
+    def recorded_decreasing():
+        forced = []
+
+        def step(n):
+            forced.append(n)
+            return n, n - 1
+
+        return unfold(step, 0), forced
+
+    for check in (increasing_to_depth, local_fib_to_depth):
+        s, forced = recorded_decreasing()
+        assert check(s, 0)
+        assert forced == []
+    s, forced = recorded_decreasing()
+    assert not increasing_to_depth(s, 10)
+    assert forced == [0, -1]
+    s, forced = recorded_decreasing()
+    assert not local_fib_to_depth(s, 3)
+    assert forced == [0, -1, -2]
+
+
 def test_concurrent_forcing_yields_identical_results():
     s = unfold(lambda n: (n * n, n + 1), 0)
     with ThreadPoolExecutor(max_workers=8) as pool:
