@@ -191,12 +191,14 @@ def prefix_interval(ds: Iterable[Digit]) -> Interval:
     Equal to folding ``refine`` over the digits starting from ``UNIT``:
     an empty prefix denotes [0, 1] itself, and a prefix of n digits is
     the dyadic interval [m, m + 2] / 2**(n + 1), of width exactly 2**-n.
-    m is found with integer work linear in n, and the endpoints become
-    ``Fraction`` only on return.
+    m is found with integer work linear in n, the denominator is one
+    shift, and the endpoints become ``Fraction`` only on return. Each
+    endpoint's ``gcd`` with the power of two is the one cost above linear
+    that is left.
     """
     ws = _weights(ds)
     m = _left_end(ws)
-    den = 2 ** (len(ws) + 1)
+    den = 1 << (len(ws) + 1)
     # m/den < (m + 2)/den holds by construction, so the result skips
     # ``Interval``'s order check: two multiplications of n-bit integers.
     iv = object.__new__(Interval)

@@ -337,25 +337,34 @@ _BIT_WEIGHT = bytes.maketrans(b"01", bytes((_L, _R)))
 
 
 class RationalNode:
-    """The digits of ``num/den`` in [0, 1], by long division.
+    """The digits of a rational ``num/N`` in [0, 1], by long division.
 
-    With numerator state ``num`` over the fixed ``den``: emit L and double
-    while ``2*num <= den``, else emit R and continue with ``2*num - den``.
-    So ``num`` stays in (0, den] once positive, ties go to L (1/2 is
-    LRRR...) and only L and R digits ever appear. ``fill`` does k steps
-    at once: the k-bit quotient q with ``num * 2**k - q*den`` in (0, den]
-    spells the digits, one bit each, and one ``translate`` turns its
-    binary text into weights. A leaf: whoever reads it fills it,
+    With numerator state ``num`` over the fixed denominator N: emit L and
+    double while ``2*num <= N``, else emit R and continue with
+    ``2*num - N``. So ``num`` stays in (0, N] once positive, ties go to L
+    (1/2 is LRRR...) and only L and R digits ever appear. ``fill`` does k
+    steps at once: the k-bit quotient q with ``num * 2**k - q*N`` in
+    (0, N] spells the digits, one bit each, and one ``translate`` turns
+    its binary text into weights. A leaf: whoever reads it fills it,
     a block of ``_FILL_BLOCK`` digits or more, so its buffer may run
     ahead of what was asked by less than one block.
+
+    N is kept split as ``den << shift`` with ``den`` odd, and the quotient
+    is ``((big - 1) >> shift) // den``: floor(X / (d * 2**e)) equals
+    floor(floor(X / 2**e) / d), so it is the same q, but the division is
+    by the odd part only. A denominator of e bits that is mostly a power
+    of two then costs a shift, linear in k + e, instead of a k-by-e
+    division. A failed fill leaves the leaf as it was: ``num`` moves on
+    only once the block's digits are in the buffer.
     """
 
-    __slots__ = ("out", "num", "den")
+    __slots__ = ("out", "num", "den", "shift")
 
     def __init__(self, num: int, den: int):
         self.out = bytearray()
         self.num = num
-        self.den = den
+        self.shift = (den & -den).bit_length() - 1
+        self.den = den >> self.shift
 
     def fill(self, n: int):
         """Extend the buffer to at least ``n`` digits and by at least one
@@ -368,9 +377,10 @@ class RationalNode:
             out += bytes(k)
         else:
             big = self.num << k
-            q = (big - 1) // self.den
-            self.num = big - q * self.den
+            q = ((big - 1) >> self.shift) // self.den
+            num = big - ((q * self.den) << self.shift)
             out += format(q, "0%db" % k).encode().translate(_BIT_WEIGHT)
+            self.num = num
         return None
 
 

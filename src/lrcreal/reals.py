@@ -192,7 +192,10 @@ def compare(x: ExactReal, y: ExactReal, max_depth: int) -> Union[str, Indistingu
     g < -2. Each digit pair maps g to 2g + k(dy) - k(dx), so the digits
     both buffers already hold, from depth n to e, map g to
     g * 2**(e - n) + m(dys) - m(dxs), with m the left-end numerator of
-    ``_left_end``; one step reads that whole block. Separation is
+    ``_left_end``; one step reads that whole block. Where the two blocks
+    are equal, as they are along the common prefix of two close
+    rationals, m(dys) - m(dxs) is 0 and the block only shifts g, with no
+    ``_left_end`` call. Separation is
     monotone: if g >= 3 then 2g + k(dy) - k(dx) >= 4, and likewise for
     g <= -3, so the sign at the end of a block is the sign at the first
     depth inside it where the intervals separated. While they overlap
@@ -223,10 +226,13 @@ def compare(x: ExactReal, y: ExactReal, max_depth: int) -> Union[str, Indistingu
         if end == depth + 1:  # the common case while an engine real is demanded
             gap = 2 * gap + ys[depth] - xs[depth]
         else:
-            gap = (gap << (end - depth)) + _left_end(ys[depth:end]) - _left_end(xs[depth:end])
+            gap <<= end - depth
+            dys, dxs = ys[depth:end], xs[depth:end]
+            if dys != dxs:
+                gap += _left_end(dys) - _left_end(dxs)
         if gap > 2:
             return LESS
         if gap < -2:
             return GREATER
         depth = end
-    return Indistinguishable(Fraction(1, 2 ** max_depth))
+    return Indistinguishable(Fraction(1, 1 << max_depth))

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import digits_then_constant, rand_fraction, rational_stream, read_int, refine_fold
+from lrcreal import engine
 from lrcreal.digits import UNIT, Digit, digits_to_str, prefix_interval, refine
 from lrcreal.engine import _FILL_BLOCK, AffineData, RationalNode, StreamNode, demand, engine_states
 from lrcreal.errors import DomainError
@@ -86,6 +87,56 @@ def test_rational_node_fills_in_blocks_like_long_division(fraction, steps):
         demand(node, n)
         assert n <= len(node.out) < n + _FILL_BLOCK
         assert list(node.out) == long_division(num, den, len(node.out))
+
+
+@st.composite
+def fractions_over_a_power_of_two(draw):
+    """(num, d, e): num/(d * 2**e) in [0, 1], with d <= 10**6 and e <= 4000.
+
+    Half of them are dyadic, m/2**j with j <= e, whose long division
+    meets the ties that go to L.
+    """
+    d, e = draw(st.integers(1, 10 ** 6)), draw(st.integers(0, 4000))
+    if draw(st.booleans()):
+        j = draw(st.integers(0, e))
+        return draw(st.integers(0, 1 << j)) * d << (e - j), d, e
+    return draw(st.integers(0, d << e)), d, e
+
+
+@given(fractions_over_a_power_of_two(), st.lists(st.integers(0, 2000), max_size=6))
+@example(((1 << 4000) // 3, 1, 4000), [1, 3999, 2, 64])
+@example((1 << 3999, 3, 4000), [4001, 1])
+@example((999999 << 63, 999999, 64), [63, 1, 1, 129])
+@settings(deadline=None)
+def test_rational_node_divides_by_the_odd_part_of_its_denominator(fraction, steps):
+    # A denominator d * 2**e fills by a shift and a division by d alone;
+    # the buffer must still hold the digit-at-a-time long division after
+    # every fill, both inside the first e digits and past them.
+    num, d, e = fraction
+    den = d << e
+    node = RationalNode(num, den)
+    assert node.den % 2 == 1 and node.den << node.shift == den
+    expected = long_division(num, den, sum(steps) + _FILL_BLOCK)
+    n = 0
+    for step in steps:
+        n += step
+        demand(node, n)
+        assert n <= len(node.out) < n + _FILL_BLOCK
+        assert list(node.out) == expected[:len(node.out)]
+
+
+def test_a_failed_fill_leaves_a_rational_leaf_as_it_was(monkeypatch):
+    # The block's digits fail to reach the buffer (here ``translate``
+    # rejects a broken table; a MemoryError does the same). The leaf's
+    # numerator must not have moved on, or every later digit is wrong.
+    r = Fraction(123457, 999983)
+    x = from_rational(r)
+    x.digit_string(10)
+    with monkeypatch.context() as patched:
+        patched.setattr(engine, "_BIT_WEIGHT", b"bad")
+        with pytest.raises(ValueError):
+            x.digit_string(80)
+    assert x.digit_string(80) == from_rational(r).digit_string(80)
 
 
 def test_from_rational_never_emits_c():
@@ -452,6 +503,19 @@ def test_deep_rational_compare_matches_gap_loop(fraction, d, k, below, max_depth
     assert max(len(rx.node.out), len(ry.node.out)) <= max(2 * depth, _FILL_BLOCK)
 
 
+@pytest.mark.parametrize("x", [Fraction(1, 3), Fraction(2, 7), Fraction(5, 11)])
+def test_compare_of_close_rationals_shifts_the_gap_over_equal_blocks(x):
+    # x and x + k * 2**-d share about d digits, so compare meets whole
+    # blocks that are equal in both buffers. Such a block adds nothing to
+    # the gap, but it still doubles it once per digit: a gap that is not
+    # yet 0 must keep growing across it.
+    for k in (1, 2, 4):
+        for d in (63, 64, 65, 128, 129, 256, 1024):
+            y = x + Fraction(k, 2 ** d)
+            assert compare(from_rational(x), from_rational(y), 3000) == LESS
+            assert compare(from_rational(y), from_rational(x), 3000) == GREATER
+
+
 def test_readme_library_block():
     # Run README's "Library" block statement by statement; every
     # expression's comment is the repr of its result, or a claim below.
@@ -665,6 +729,25 @@ def test_a_productive_self_referential_real():
     for n in range(1, 2000, 37):
         y.digit_string(n)
     assert y.digit_string(2000) == x.digit_string(2000)
+
+
+def test_an_engine_node_that_fails_keeps_none_of_its_new_digits():
+    # The stream on the right gives 12 digits and then a head of weight 7.
+    # The average produces digits from the good ones before it reads the
+    # bad head; the error must take back every digit of that activation,
+    # so a second and third call fail the same way and never print a
+    # digit computed from the bad head.
+    good = [Digit[ch] for ch in "RLCRRLCLRCLR"]
+
+    def real():
+        return average(from_rational(Fraction(1, 3)), ExactReal(digits_then_constant(good, 7)))
+
+    x = real()
+    for _ in range(3):
+        with pytest.raises(DomainError):
+            x.digit_string(40)
+        assert len(x.node.out) == 0
+    assert x.digit_string(11) == real().digit_string(11)
 
 
 def long_division_stream(r):
