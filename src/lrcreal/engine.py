@@ -41,7 +41,7 @@ Every node has one ``fill(n)``: a leaf grows in place and returns None or
 the engine node it waits on, and an engine node returns itself while it
 is short. ``demand`` grows a buffer: ``_run`` is the engine loop, which
 steps nodes in turn on an explicit stack, resumes each from its saved
-state and read index, and asks its children for a proven lower bound on
+record and read index, and asks its children for a proven lower bound on
 the digits it will read, computed from the live state once its
 coefficients sum to at most 1. No engine node produces a digit that is
 not asked for; a rational leaf, which needs no engine, fills a block of
@@ -58,12 +58,12 @@ anyway. It normalizes by shifting out common factors of two, with no
 The loop is a memoized finite automaton: an affine map with rational
 coefficients on redundant digit streams is computable by one (Konecny,
 "Real functions incrementally computable by finite automata", TCS 315,
-2004). An ``_Automaton`` holds one record per normalized state with
-``(A + B + C)/D <= 1`` that the loop has stepped from, linked to the
-records of the states after it; it says why such states are finitely
-many, and ``_run`` how a node steps on and off it. Nodes that start from
-the same state share one automaton, held weakly in a registry, which
-dies with the last of them.
+2004). An ``_Automaton`` holds one record per normalized state that the
+loop has stepped from, linked to the records of the states after it; it
+says why the states with ``(A + B + C)/D <= 1`` are finitely many, and
+``_run`` how every step runs from a record. Nodes that start from the
+same state share one automaton, held weakly in a registry, which dies
+with the last of them.
 
 ``AffineData`` is the state in pair form, a named tuple ``(a, a', b, b',
 c, c', v1, v2)`` whose constructor checks the signs. A digit is its own
@@ -422,11 +422,10 @@ class StreamNode:
         return None
 
 
-#: Records one automaton holds at most. Past it a node takes the
-#: arithmetic step and allocates nothing, so coefficients whose states
-#: never repeat (say, over denominators near a million) cost at most this
-#: many records, and steps past them cost what they cost without an
-#: automaton. No automaton on the benchmark reaches 200 records.
+#: Records one automaton holds at most. A node whose automaton is full
+#: goes on in a fresh private one, so a node whose states never repeat
+#: (say, over denominators near a million) keeps at most this many records
+#: of its own. No automaton on the benchmark reaches 200 records.
 _AUTOMATON_CAP = 256
 
 
@@ -437,17 +436,18 @@ class _Automaton:
     digit ``_choose`` justifies, or None to consume) and the state
     ``(A, B, C, D)`` itself. Before them come its links: one for an
     emitting state; nine for a consuming one, indexed by ``3*d1 + d2``
-    for input weights d1 and d2, and then the offset
-    ``_ceil_log2(A + B, D)`` of its demand bound (see ``_run``). A
-    link is the index of the next state's record, or None until ``_run``
-    first takes that step. Records link by index, so an automaton holds
-    no reference cycle and dies, by reference counting alone, with the
-    last node that uses it. ``index`` maps each state to its record, and
-    ``enter`` is the one place that adds a record.
+    for input weights d1 and d2, and then the offset of its demand bound
+    (see ``_run``): ``_ceil_log2(A + B, D)`` when T = (A + B + C)/D <= 1,
+    else None, which asks for one digit. A link is the index of the next
+    state's record, or None until ``_run`` first takes that step. Records
+    link by index, so an automaton holds no reference cycle and dies, by
+    reference counting alone, with the last node that uses it. ``index``
+    maps each state to its record, and ``enter`` is the one place that
+    adds a record; the start state is record 0.
 
-    Only normalized states with T = (A + B + C)/D <= 1 get a record. T
-    stays at most 1 from such a state on (see ``_run``), and the states a
-    node reaches from there form a finite set:
+    Every state a node steps from gets a record. T stays at most 1 once
+    it is (see ``_run``), and the states with T <= 1 that a node reaches
+    form a finite set:
 
     * the odd part of D never changes: every step multiplies D by a power
       of two, and the strip divides out only twos;
@@ -461,38 +461,39 @@ class _Automaton:
       ``(k1*A + k2*B) / 4D``.
 
     A reduced state is fixed by its three ratios to D, all in [0, 1].
-    Finite can still be huge, so an automaton holds at most
-    ``_AUTOMATON_CAP`` records.
+    Finite can still be huge, and states with T > 1 need not be finite
+    at all, so an automaton holds at most ``_AUTOMATON_CAP`` records.
     """
 
     __slots__ = ("records", "index", "__weakref__")
 
-    def __init__(self):
+    def __init__(self, start):
         self.records = []
         self.index = {}
+        self.enter(start)
 
     def enter(self, state) -> int:
         """The index of ``state``'s record, added if new; -1 once full."""
-        r = self.index.get(state)
-        if r is None:
-            r = len(self.records)
+        records = self.records
+        r = self.index.setdefault(state, len(records))
+        if r == len(records):
             if r == _AUTOMATON_CAP:
+                del self.index[state]
                 return -1
             A, B, C, D = state
             digit = _choose(A, B, C, D)
-            self.records.append(
+            records.append(
                 [None, None, None, None, None, None, None, None, None,
-                 _ceil_log2(A + B, D), None, state]
+                 _ceil_log2(A + B, D) if A + B + C <= D else None, None, state]
                 if digit is None else [None, digit, state]
             )
-            self.index[state] = r
         return r
 
 
 #: Live automata, by the normalized initial state of the nodes that share
-#: one and by the consumption formula its links cache. An automaton leaves
-#: with its last node. Two threads that build equal nodes at once may each
-#: add one; both are correct, and only one stays shared.
+#: one. An automaton leaves with its last node. Two threads that build
+#: equal nodes at once may each add one; both are correct, and only one
+#: stays shared.
 _AUTOMATA = WeakValueDictionary()
 
 
@@ -514,28 +515,31 @@ class EngineNode:
     A node runs on an ``_Automaton``, shared by every live node that
     starts from the same reduced state: all ``average`` nodes share one,
     and so do all ``add`` nodes. ``at`` is the record of ``state`` in it,
-    or -1 while the node is off the automaton: before its first step,
-    while T > 1, or once its automaton is full (``automaton`` is then
-    None), which it leaves for good. Off the automaton, every step is
-    decided afresh by ``_choose``.
+    so ``state`` is read from that record. Once its automaton is full, a
+    node goes on in a fresh private one, which dies with the node or when
+    that one fills in turn.
     """
 
-    __slots__ = ("out", "state", "read", "left", "right", "automaton", "at")
+    __slots__ = ("out", "read", "left", "right", "automaton", "at")
 
     def __init__(self, a, a_den, b, b_den, c, c_den, left, right):
         self.out = bytearray()
         A, B, C, D = _common(a, a_den, b, b_den, c, c_den)
         g = gcd(A, B, C, D)
-        self.state = state = A // g, B // g, C // g, D // g
+        state = A // g, B // g, C // g, D // g
         self.read = 0
         self.left = left
         self.right = right
-        key = state, _carry
-        automaton = _AUTOMATA.get(key)
+        automaton = _AUTOMATA.get(state)
         if automaton is None:
-            automaton = _AUTOMATA[key] = _Automaton()
+            automaton = _AUTOMATA[state] = _Automaton(state)
         self.automaton = automaton
-        self.at = -1
+        self.at = automaton.enter(state)
+
+    @property
+    def state(self):
+        """The reduced ``(A, B, C, D)`` after the digits produced and read."""
+        return self.automaton.records[self.at][-1]
 
     def fill(self, n: int):
         """None when the buffer holds ``n`` digits, else ``(self, n)``."""
@@ -571,7 +575,7 @@ def _run(node: EngineNode, want: int):
     parent resumes, or until a child must grow first. A child's ``fill``
     grows a leaf in place, or hands back the engine node that must grow
     first, the child itself or one a leaf waits on: then the current
-    node's state is saved and that node becomes current. Nesting depth
+    node's place is saved and that node becomes current. Nesting depth
     costs stack entries, not Python frames.
 
     A step on the state ``(A*v1 + B*v2 + C) / D`` is the one ``_choose``
@@ -607,29 +611,28 @@ def _run(node: EngineNode, want: int):
     m >= k + log2(s), and m >= k + ``_ceil_log2(A + B, D)`` as m is an
     integer. A state with T > 1, such as an unchecked ``add`` before its
     sum falls to 1, can emit R with no consumption, so it asks for one
-    digit.
+    digit. Each record stores its offset, or None for T > 1.
 
-    A node steps on its ``_Automaton`` wherever it can. At a record, an
+    Every step runs from a record of the node's ``_Automaton``. An
     emission appends the record's digit and follows its link, and a
     consumption reads one weight from each child and follows link
-    ``3*d1 + d2``; the bound's offset is stored in the record. A missing
-    link is a miss: the node takes that one step by the arithmetic above.
-    Off the automaton, the node decides each step with ``_choose``.
-    After every arithmetic step, a state with T <= 1 enters the automaton
-    (``_Automaton.enter``), the link of a miss is filled with its record,
-    and the node goes on from that record. When the automaton is full,
-    the node leaves it and takes every later step by arithmetic. So a
-    node's digits, reads and states are exactly those of the arithmetic
-    alone, and ``_carry``, the sign check and the strip run on every
-    miss.
+    ``3*d1 + d2``. A missing link is a miss: the node takes that one step
+    from the record's state by the arithmetic above, the state reached
+    enters the automaton (``_Automaton.enter``), the link is filled with
+    its record, and the node goes on from that record. When the automaton
+    is full, the node goes on in a fresh private one, and the full one
+    keeps no link to it. So a node's digits, reads and states are exactly
+    those of the arithmetic alone, and ``_carry``, the sign check and the
+    strip run on every miss.
 
     A real defined through a ``Stream`` may read itself, so a node can be
     current while it waits lower on the stack. Each activation loads the
-    node's state, read index and record from the node and saves them when
-    it stops, so a resumed node goes on from where it was last left.
+    node's automaton, record and read index from the node and saves them
+    when it stops, so a resumed node goes on from where it was last left.
 
     If anything raises, the current node drops the digits it produced
-    since it last became current, so its buffer and saved state agree.
+    since it last became current and saves nothing, so its buffer,
+    automaton, record and read index still agree.
     """
     parents = []
     while True:
@@ -642,53 +645,22 @@ def _run(node: EngineNode, want: int):
         if len(right_out) < ready:
             ready = len(right_out)
         automaton = node.automaton
-        if automaton is not None:
-            records = automaton.records
-        s = node.at  # the current record, or -1 off the automaton
-        if s < 0:
-            A, B, C, D = node.state
-        record = None  # the record a miss steps from
+        records = automaton.records
+        s = node.at  # the current record
         blocked = None
         try:
             while True:
-                if s >= 0:
-                    if produced == want:
-                        break
-                    record = records[s]
-                    digit = record[-2]
-                    if digit is None:
-                        if i == ready:
-                            more = want - produced + record[9]
-                            if more < 1:
-                                more = 1
-                            blocked = left.fill(i + more) or right.fill(i + more)
-                            if blocked is not None:
-                                break
-                            ready = len(left_out)
-                            if len(right_out) < ready:
-                                ready = len(right_out)
-                        link = 3 * left_out[i] + right_out[i]
-                        s = record[link]
-                        if s is not None:
-                            i += 1
-                            continue
-                    else:
-                        s = record[0]
-                        if s is not None:
-                            out.append(digit)
-                            produced += 1
-                            continue
-                        link = 0
-                    # A miss: take the step from the record's state by arithmetic.
-                    A, B, C, D = record[-1]
-                else:
-                    if produced == want:
-                        break
-                    digit = _choose(A, B, C, D)
-                    if digit is None and i == ready:
-                        more = 1
-                        if A + B + C <= D:
-                            more = want - produced + _ceil_log2(A + B, D)
+                if produced == want:
+                    break
+                record = records[s]
+                digit = record[-2]
+                if digit is None:
+                    if i == ready:
+                        more = record[9]
+                        if more is None:
+                            more = 1
+                        else:
+                            more += want - produced
                             if more < 1:
                                 more = 1
                         blocked = left.fill(i + more) or right.fill(i + more)
@@ -697,7 +669,13 @@ def _run(node: EngineNode, want: int):
                         ready = len(left_out)
                         if len(right_out) < ready:
                             ready = len(right_out)
-                if digit is None:
+                    link = 3 * left_out[i] + right_out[i]
+                    s = record[link]
+                    if s is not None:
+                        i += 1
+                        continue
+                    # A miss: take the step from the record's state by arithmetic.
+                    A, B, C, D = record[-1]
                     C = _carry(left_out[i], right_out[i], A, B, C)
                     i += 1
                     A *= 2
@@ -706,6 +684,13 @@ def _run(node: EngineNode, want: int):
                     if C < 0:
                         raise DomainError("coefficient numerators must be non-negative")
                 else:
+                    s = record[0]
+                    if s is not None:
+                        out.append(digit)
+                        produced += 1
+                        continue
+                    link = 0
+                    A, B, C, D = record[-1]
                     A *= 4
                     B *= 4
                     C = 4 * C - digit * D
@@ -719,16 +704,18 @@ def _run(node: EngineNode, want: int):
                     B >>= z
                     C >>= z
                     D >>= z
-                if automaton is not None and A + B + C <= D:
-                    s = automaton.enter((A, B, C, D))
-                    if s < 0:
-                        node.automaton = automaton = None
-                    elif record is not None:
-                        record[link] = s
+                state = A, B, C, D
+                s = automaton.enter(state)
+                if s < 0:
+                    automaton = _Automaton(state)
+                    records = automaton.records
+                    s = 0  # the new automaton's start state
+                else:
+                    record[link] = s
         except BaseException:
             del out[start:]
             raise
-        node.state = records[s][-1] if s >= 0 else (A, B, C, D)
+        node.automaton = automaton
         node.at = s
         node.read = i
         if blocked is not None:

@@ -3,20 +3,23 @@ states as the arithmetic alone, bounded memory, and automata that die
 with their last node."""
 
 import gc
+import random
 import sys
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import gcd, lcm
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lrcreal.engine as engine_module
-from helpers import DIGITS, cycled_digits
+from helpers import DIGITS, cycled_digits, digits_then_constant
 from lrcreal.digits import Digit, emit_value
 from lrcreal.engine import AffineData, EngineNode, StreamNode, demand, engine_states
-from lrcreal.reals import affine, average, from_rational
+from lrcreal.errors import DomainError
+from lrcreal.reals import ExactReal, affine, average, from_rational
 from lrcreal.streams import Stream
 
 periods = st.lists(st.sampled_from(DIGITS), min_size=1, max_size=7)
@@ -128,13 +131,16 @@ def assert_same_state(node, state, normalize_steps):
 
 
 def assert_records_sound(automaton):
-    """Every record is a reduced state with T <= 1, indexed once, whose
-    links name records; the count stays within the cap."""
+    """Every record is a reduced state, indexed once, whose links name
+    records; a consuming one stores its demand offset when T <= 1 and
+    None above; the count stays within the cap."""
     records = automaton.records
     assert len(records) <= engine_module._AUTOMATON_CAP
     for r, record in enumerate(records):
         A, B, C, D = state = record[-1]
-        assert gcd(A, B, C, D) == 1 and A + B + C <= D
+        assert gcd(A, B, C, D) == 1
+        if record[-2] is None:
+            assert record[9] == (engine_module._ceil_log2(A + B, D) if A + B + C <= D else None)
         assert automaton.index[state] == r
         links = record[:1] if record[-2] is not None else record[:9]
         assert all(link is None or 0 <= link < len(records) for link in links)
@@ -171,7 +177,7 @@ def test_node_matches_engine_states_digit_by_digit(x, normalize_steps):
 def test_node_matches_engine_states_past_the_cap(x, normalize_steps):
     node, automaton = run_against_reference(x, normalize_steps, 200)
     assert len(automaton.records) == engine_module._AUTOMATON_CAP
-    assert node.automaton is None
+    assert node.automaton is not automaton
 
 
 @settings(deadline=None, max_examples=40)
@@ -207,11 +213,11 @@ def reference_stream(x):
 
 @settings(deadline=None, max_examples=40)
 @given(checked_states(), checked_states())
-def test_unchecked_add_resumed_off_the_automaton_matches_engine_states(x, y):
-    # An unchecked add starts at T = 2, off the automaton, and its children
-    # are engine nodes: it blocks on one and resumes off the automaton,
-    # deciding its step again. Its reference reads the children's digits as
-    # the reference produces them.
+def test_unchecked_add_resumed_above_1_matches_engine_states(x, y):
+    # An unchecked add starts at T = 2, and its children are engine nodes:
+    # it blocks on one and resumes from a record with T > 1, which asks for
+    # one digit. Its reference reads the children's digits as the
+    # reference produces them.
     parent = EngineNode(1, 1, 1, 1, 0, 1, node_of(x), node_of(y))
     rows, _ = reference(AffineData(1, 1, 1, 1, 0, 1, reference_stream(x), reference_stream(y)), True, 40)
     for k, (_, reads, state) in enumerate(rows, 1):
@@ -234,7 +240,56 @@ def test_automaton_holds_at_most_the_cap():
     automaton = x.node.automaton
     assert x.digit_string(20_000).startswith("LLCLRCCLRLRCCRLCCRLL")
     assert len(automaton.records) == engine_module._AUTOMATON_CAP
-    assert x.node.automaton is None
+    assert x.node.automaton is not automaton
+
+
+def test_unchecked_add_above_1_goes_on_in_private_automata():
+    # 3/4 + 3/4 of 1 is 3/2: T stays above 1 and the coefficients grow, so
+    # no state repeats, and 600 digits fill one automaton after another.
+    one = from_rational(1)
+    x = affine(Fraction(3, 4), Fraction(3, 4), Fraction(0), one, one, checked=False)
+    rows, _ = reference(AffineData(3, 4, 3, 4, 0, 1, one.digits, one.digits), True, 600)
+    digits = bytes(d for d, _, _ in rows)
+    automata = []
+    for k, (_, reads, state) in enumerate(rows, 1):
+        demand(x.node, k)
+        assert bytes(x.node.out) == digits[:k]
+        assert x.node.read == reads
+        assert_same_state(x.node, state, True)
+        if x.node.automaton not in automata:
+            automata.append(x.node.automaton)
+    assert len(automata) >= 3
+    for automaton in automata:
+        assert_records_sound(automaton)
+        assert all(record[9] is None for record in automaton.records if record[-2] is None)
+
+
+def test_a_failed_activation_past_the_cap_resumes_from_its_saved_record():
+    # The left input's 1,500th digit has weight 7. With 1,495 of its digits
+    # buffered, the wide affine fills its automaton's cap and goes on
+    # before it reads the bad digit. The error must leave the node's
+    # automaton, record and read index as they were saved together, so a
+    # later reader gets the digits of the sound stream.
+    rng = random.Random(22)
+    good = [rng.choice(DIGITS) for _ in range(1499)]
+
+    def real(tail):
+        left = ExactReal(digits_then_constant(good, tail))
+        right = from_rational(Fraction(2, 7))
+        right.digit_string(2000)
+        x = affine(Fraction(123457, 1000003), Fraction(234567, 1000033), Fraction(1, 999983), left, right)
+        return x, left
+
+    x, left = real(7)
+    x.digit_string(2)
+    shared = x.node.automaton
+    left.digit_string(1495)
+    with pytest.raises(DomainError):
+        x.digit_string(1700)
+    assert len(shared.records) == engine_module._AUTOMATON_CAP
+    third = from_rational(Fraction(1, 3))
+    expected = average(third, real(Digit.C)[0]).digit_string(200)
+    assert average(third, x).digit_string(200) == expected
 
 
 def test_last_real_frees_its_automaton_without_the_cycle_collector():

@@ -2,6 +2,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from weakref import WeakValueDictionary
 
 import pytest
 from hypothesis import example, given, settings
@@ -318,6 +319,8 @@ def test_selftest_catches_consumption_table_typo(monkeypatch):
         return original(d1, d2, A, B, C)
 
     monkeypatch.setattr(engine_module, "_carry", swapped)
+    # Automata cache the steps they took, so the patched nodes get fresh ones.
+    monkeypatch.setattr(engine_module, "_AUTOMATA", WeakValueDictionary())
     report, code = selftest_command(100, 40, 42)
     assert code != 0
     assert "ok=False" in report
