@@ -3,61 +3,15 @@
 Reals are infinite digit streams refining nested intervals; every finite
 prefix yields an exact rational enclosure, and an exact rational oracle
 can re-check every step of every computation.
+
+The package exports every name its library modules list in ``__all__``;
+the command-line layer stays in ``lrcreal.cli``.
 """
 
-from .digits import (
-    Digit,
-    Interval,
-    UNIT,
-    bit_to_digit,
-    bits_to_value,
-    digits_to_str,
-    emit_value,
-    prefix_interval,
-    refine,
-    represents_to_depth,
-    str_to_digits,
-)
-from .engine import (
-    AffineData,
-    Decision,
-    consume,
-    decide,
-    measure,
-    normalize,
-    prod_C,
-    prod_L,
-    prod_R,
-    produce_stream,
-    state_value,
-)
-from .errors import DomainError, ExprParseError
-from .reals import (
-    GREATER,
-    LESS,
-    ExactReal,
-    Indistinguishable,
-    affine,
-    average,
-    compare,
-    from_rational,
-)
-from .streams import (
-    LazyList,
-    NIL,
-    Stream,
-    bisimilar_to_depth,
-    cons,
-    constant,
-    decompose,
-    fib_stream,
-    from_list,
-    head,
-    map_lazy,
-    map_stream,
-    tail,
-    take,
-    unfold,
-)
+from .digits import *  # noqa: F401,F403
+from .engine import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .reals import *  # noqa: F401,F403
+from .streams import *  # noqa: F401,F403
 
 __version__ = "0.1.0"

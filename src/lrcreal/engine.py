@@ -47,7 +47,9 @@ coefficients sum to at most 1. No engine node produces a digit that is
 not asked for; a rational leaf, which needs no engine, fills a block of
 digits with one big-integer division and so runs ahead of demand by less
 than one block.
-``NodeStream`` is the ``Stream`` view of a buffer.
+A node's buffer is the one memo of its digits: a ``NodeStream`` is a
+``Stream`` view of it that keeps only the node and an index, so reading
+a real's digits as a stream memoizes nothing a second time.
 
 The loop keeps an engine node's state as four integers ``(A, B, C, D)``,
 the value ``(A*v1 + B*v2 + C) / D``: the three pairs over one common
@@ -81,7 +83,6 @@ arithmetic; nothing here touches floating point.
 from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
-from functools import partial
 from math import gcd
 from threading import RLock
 from typing import Iterator, Optional, Tuple
@@ -105,12 +106,6 @@ __all__ = [
     "production_step",
     "engine_states",
     "produce_stream",
-    "RationalNode",
-    "StreamNode",
-    "EngineNode",
-    "NodeStream",
-    "demand",
-    "stream_node",
 ]
 
 
@@ -387,13 +382,15 @@ class RationalNode:
 class StreamNode:
     """A leaf over an arbitrary digit ``Stream``: buffers the cells it forces.
 
-    ``rest`` is the stream after the buffered digits. When ``rest`` is a
-    ``NodeStream``, ``fill`` first fills the node it reads: a leaf grows
-    in place, and an engine node, which forcing ``rest`` would run inside
-    this call, is handed back instead. So a chain of reals built lazily
-    from streams, through any number of stream leaves, also runs on the
-    explicit stack. A head that is not an int of weight 0, 1 or 2 raises
-    ``DomainError`` and stays unread.
+    The buffer is the one memo of the stream's digits: ``rest`` is the
+    stream after the buffered digits, and the leaf holds no earlier cell.
+    When ``rest`` is a ``NodeStream``, ``fill`` first fills the node it
+    reads: a leaf grows in place, and an engine node, which forcing
+    ``rest`` would run inside this call, is handed back instead. So a
+    chain of reals built lazily from streams, through any number of
+    stream leaves, also runs on the explicit stack. A cell that is not
+    ``(digit, tail)``, as at the end of a lazy list, or a head that is not
+    an int of weight 0, 1 or 2, raises ``DomainError`` and stays unread.
     """
 
     __slots__ = ("out", "rest")
@@ -416,7 +413,11 @@ class StreamNode:
                 blocked = rest.node.fill(rest.index + n - len(out))
                 if blocked is not None:
                     return blocked
-            digit, tail = rest.force()
+            cell = rest.force()
+            try:
+                digit, tail = cell
+            except (TypeError, ValueError):
+                raise DomainError("a digit stream cell must be (digit, tail), got %r" % (cell,)) from None
             out.append(_weight(digit))
             self.rest = tail
         return None
@@ -730,32 +731,35 @@ def _run(node: EngineNode, want: int):
 class NodeStream(Stream):
     """The digits of a node's buffer from ``index`` on, as a ``Stream``.
 
-    Forcing a cell demands one more digit of the node, so reading a view
-    is exactly as lazy as reading a memoized digit stream. A cell's head
-    is the ``Digit`` of the buffered weight.
+    A view, not a memo: the buffer is the one memo of a node's digits, so
+    a view keeps only ``(node, index)``. ``force`` demands one more digit
+    of the node and returns its ``Digit`` with the view one digit on, so
+    reading a view is exactly as lazy as reading a memoized digit stream,
+    and a held view keeps no per-digit cells alive.
     """
 
     __slots__ = ("node", "index")
 
     def __init__(self, node, index: int = 0):
-        Stream.__init__(self, partial(_node_cell, node, index))
         self.node = node
         self.index = index
 
-
-def _node_cell(node, index):
-    demand(node, index + 1)
-    return _DIGITS[node.out[index]], NodeStream(node, index + 1)
+    def force(self):
+        node, index = self.node, self.index
+        demand(node, index + 1)
+        return _DIGITS[node.out[index]], NodeStream(node, index + 1)
 
 
 def stream_node(stream: Stream):
     """The node whose digits ``stream`` reads.
 
-    A whole-buffer ``NodeStream`` reads its own node; any other stream is
-    wrapped in a ``StreamNode``.
+    A whole-buffer ``NodeStream`` reads its own node; any other ``Stream``
+    is wrapped in a ``StreamNode``, and anything else raises ``DomainError``.
     """
     if isinstance(stream, NodeStream) and stream.index == 0:
         return stream.node
+    if not isinstance(stream, Stream):
+        raise DomainError("a real's digits must be a Stream, got %s" % type(stream).__name__)
     return StreamNode(stream)
 
 

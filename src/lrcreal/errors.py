@@ -1,5 +1,7 @@
 """Exceptions shared across the package."""
 
+__all__ = ["DomainError", "ExprParseError"]
+
 
 class DomainError(ValueError):
     """A value lies outside the domain an operation requires."""

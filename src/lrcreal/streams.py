@@ -201,13 +201,13 @@ def decompose(s: "Stream") -> "Stream":
 def bisimilar_to_depth(a, b, n: int) -> bool:
     """Do ``a`` and ``b`` agree on shape and elements for ``n`` levels?
 
-    Works on two Streams or two LazyLists. A depth-bounded stand-in for
-    full bisimilarity, which is not decidable.
+    Works on two Streams or two LazyLists, of any subclass: a real's
+    digit view is a Stream. A depth-bounded stand-in for full
+    bisimilarity, which is not decidable.
     """
-    if type(a) is not type(b):
-        raise TypeError("bisimilar_to_depth: both sides must have the same type")
-    if not isinstance(a, (Stream, LazyList)):
-        raise TypeError("bisimilar_to_depth: works on streams and lazy lists only")
+    kind = Stream if isinstance(a, Stream) else LazyList
+    if not (isinstance(a, kind) and isinstance(b, kind)):
+        raise TypeError("bisimilar_to_depth: works on two streams or two lazy lists")
     if n < 0:
         raise ValueError("bisimilar_to_depth: n must be >= 0")
     for _ in range(n):

@@ -1,0 +1,41 @@
+"""The package namespace is the union of its library modules' ``__all__``."""
+
+import importlib
+import types
+
+import lrcreal
+
+#: The modules the package re-exports; ``cli`` is the command-line layer.
+LIBRARY = ("digits", "engine", "errors", "reals", "streams")
+
+#: The names the package exported when it listed them by hand.
+LISTED = {
+    "Digit", "Interval", "UNIT", "bit_to_digit", "bits_to_value", "digits_to_str", "emit_value",
+    "prefix_interval", "refine", "represents_to_depth", "str_to_digits",
+    "AffineData", "Decision", "consume", "decide", "measure", "normalize", "prod_C", "prod_L",
+    "prod_R", "produce_stream", "state_value",
+    "DomainError", "ExprParseError",
+    "GREATER", "LESS", "ExactReal", "Indistinguishable", "affine", "average", "compare", "from_rational",
+    "LazyList", "NIL", "Stream", "bisimilar_to_depth", "cons", "constant", "decompose", "fib_stream",
+    "from_list", "head", "map_lazy", "map_stream", "tail", "take", "unfold",
+}
+
+
+def test_package_exports_each_library_module_all():
+    declared = set()
+    for name in LIBRARY:
+        module = importlib.import_module("lrcreal." + name)
+        declared.update(module.__all__)
+        for public in module.__all__:
+            assert getattr(lrcreal, public) is getattr(module, public)
+    public = {name for name in vars(lrcreal) if not name.startswith("_")}
+    submodules = {name for name, value in vars(lrcreal).items() if isinstance(value, types.ModuleType)}
+    assert public == declared | submodules
+    assert len(LISTED) == 47
+    assert LISTED <= public
+
+
+def test_node_graph_internals_are_not_public():
+    for name in ("RationalNode", "StreamNode", "EngineNode", "NodeStream", "demand", "stream_node"):
+        assert name not in lrcreal.engine.__all__
+        assert not hasattr(lrcreal, name)

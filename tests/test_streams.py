@@ -1,10 +1,13 @@
 import random
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lrcreal.digits import Digit
+from lrcreal.reals import from_rational
 from lrcreal.streams import (
     NIL,
     bisimilar_to_depth,
@@ -198,6 +201,16 @@ def test_bisimilar_rejects_mixed_types():
         bisimilar_to_depth(constant(1), from_list([1]), 1)
     with pytest.raises(TypeError):
         bisimilar_to_depth((), (), 1)
+
+
+def test_bisimilar_compares_a_real_digit_view_as_a_stream():
+    # A real's digits are a Stream subclass, a view of its buffer.
+    x = from_rational(Fraction(1, 2))
+    assert bisimilar_to_depth(x.digits, cons(Digit.L, constant(Digit.R)), 10)
+    assert bisimilar_to_depth(decompose(x.digits), x.digits, 10)
+    assert not bisimilar_to_depth(x.digits, constant(Digit.R), 10)
+    with pytest.raises(TypeError):
+        bisimilar_to_depth(x.digits, from_list([Digit.L]), 1)
 
 
 def test_fib_stream_examples():
