@@ -197,10 +197,16 @@ def prefix_interval(ds: Iterable[Digit]) -> Interval:
     that is left.
     """
     ws = _weights(ds)
-    m = _left_end(ws)
-    den = 1 << (len(ws) + 1)
-    # m/den < (m + 2)/den holds by construction, so the result skips
-    # ``Interval``'s order check: two multiplications of n-bit integers.
+    return _dyadic_interval(_left_end(ws), len(ws))
+
+
+def _dyadic_interval(m: int, n: int) -> Interval:
+    """The interval [m, m + 2] / 2**(n + 1) that n digits with left end m pin.
+
+    m/den < (m + 2)/den holds by construction, so the result skips
+    ``Interval``'s order check: two multiplications of n-bit integers.
+    """
+    den = 1 << (n + 1)
     iv = object.__new__(Interval)
     object.__setattr__(iv, "lo", Fraction(m, den))
     object.__setattr__(iv, "hi", Fraction(m + 2, den))

@@ -46,7 +46,8 @@ the digits it will read, computed from the live state once its
 coefficients sum to at most 1. No engine node produces a digit that is
 not asked for; a rational leaf, which needs no engine, fills a block of
 digits with one big-integer division and so runs ahead of demand by less
-than one block.
+than one block, and answers an interval query at any depth by one
+division without filling at all (``RationalNode.left_end``).
 A node's buffer is the one memo of its digits: a ``NodeStream`` is a
 ``Stream`` view of it that keeps only the node and an index, so reading
 a real's digits as a stream memoizes nothing a second time.
@@ -351,15 +352,32 @@ class RationalNode:
     of two then costs a shift, linear in k + e, instead of a k-by-e
     division. A failed fill leaves the leaf as it was: ``num`` moves on
     only once the block's digits are in the buffer.
+
+    The digits are the unfold of long division, so the n-digit quotient
+    of the start numerator ``first`` is already their closed form:
+    ``left_end(n)`` answers a depth query by that one division, without
+    the buffer. It reads only ``first``, ``den`` and ``shift``, which
+    never change, so it takes no lock.
     """
 
-    __slots__ = ("out", "num", "den", "shift")
+    __slots__ = ("out", "num", "first", "den", "shift")
 
     def __init__(self, num: int, den: int):
         self.out = bytearray()
-        self.num = num
+        self.num = self.first = num
         self.shift = (den & -den).bit_length() - 1
         self.den = den >> self.shift
+
+    def left_end(self, n: int) -> int:
+        """m such that the first ``n`` digits pin [m, m + 2] / 2**(n + 1).
+
+        The n digits spell the n-bit quotient q = floor((first * 2**n - 1) / N),
+        one bit each, with weight 2 for a 1 bit, so m = 2q, and 0 for the
+        start numerator 0, whose digits are all L.
+        """
+        if self.first == 0:
+            return 0
+        return 2 * ((((self.first << n) - 1) >> self.shift) // self.den)
 
     def fill(self, n: int):
         """Extend the buffer to at least ``n`` digits and by at least one
@@ -391,6 +409,9 @@ class StreamNode:
     stream leaves, also runs on the explicit stack. A cell that is not
     ``(digit, tail)``, as at the end of a lazy list, or a head that is not
     an int of weight 0, 1 or 2, raises ``DomainError`` and stays unread.
+    So does a tail that is not a stream, once the leaf reaches it; only
+    the lookup of its ``force`` is checked, so an error raised inside the
+    producer passes through as it is.
     """
 
     __slots__ = ("out", "rest")
@@ -413,7 +434,11 @@ class StreamNode:
                 blocked = rest.node.fill(rest.index + n - len(out))
                 if blocked is not None:
                     return blocked
-            cell = rest.force()
+            try:
+                force = rest.force
+            except AttributeError:
+                raise DomainError("a digit stream's tail must be a Stream, got %r" % (rest,)) from None
+            cell = force()
             try:
                 digit, tail = cell
             except (TypeError, ValueError):

@@ -14,10 +14,11 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Union
 
-from .digits import Interval, _fraction_repr, _fraction_text, _left_end, _zero_padded, digits_to_str, prefix_interval
-# No query here refines Fraction intervals any more, but the benchmark's
-# tracer (bench/spans.py) wraps the ``reals.refine`` binding, so it stays.
-from .digits import refine  # noqa: F401
+from .digits import Interval, _dyadic_interval, _fraction_repr, _fraction_text, _left_end, _zero_padded, digits_to_str
+# No query here refines Fraction intervals or folds a digit prefix any
+# more, but the benchmark's tracer (bench/spans.py) wraps the
+# ``reals.refine`` and ``reals.prefix_interval`` bindings, so they stay.
+from .digits import prefix_interval, refine  # noqa: F401
 from .engine import EngineNode, NodeStream, RationalNode, demand, stream_node
 from .errors import DomainError
 from .streams import Stream
@@ -60,9 +61,25 @@ class ExactReal:
         demand(self.node, n)
         return self.node.out[:n]
 
+    def _left_end(self, depth: int) -> int:
+        """m such that the first ``depth`` digits pin [m, m + 2] / 2**(depth + 1).
+
+        A rational leaf answers by one division (``RationalNode.left_end``)
+        and leaves its buffer alone; any other node reads its digits, and
+        a negative depth raises ValueError in ``_prefix``.
+        """
+        node = self.node
+        if type(node) is RationalNode and depth >= 0:
+            return node.left_end(depth)
+        return _left_end(self._prefix(depth))
+
     def to_interval(self, depth: int) -> Interval:
-        """Enclosing interval after ``depth`` digits; width is 2**-depth."""
-        return prefix_interval(self._prefix(depth))
+        """Enclosing interval after ``depth`` digits; width is 2**-depth.
+
+        It is [m, m + 2] / 2**(depth + 1) for the left end m of
+        ``_left_end``, which a rational leaf finds by one division.
+        """
+        return _dyadic_interval(self._left_end(depth), depth)
 
     def digit_string(self, count: int) -> str:
         """The first ``count`` digits as text like "LRLR"."""
@@ -81,13 +98,14 @@ class ExactReal:
         half-up to ``places`` decimals is one integer shift:
         floor(mid * 10**places + 1/2) ==
         ((m + 1) * 10**places + 2**depth) >> (depth + 1).
-        No ``Fraction`` is built.
+        No ``Fraction`` is built, and a rational leaf finds m by one
+        division, with no digits.
         """
         if places < 1:
             raise ValueError("to_decimal: places must be >= 1")
         scale = 10 ** places
         depth = scale.bit_length() + 2
-        m = _left_end(self._prefix(depth))
+        m = self._left_end(depth)
         units = ((m + 1) * scale + (1 << depth)) >> (depth + 1)
         return "%d.%s" % (units // scale, _zero_padded(units % scale, places))
 
@@ -193,29 +211,46 @@ def compare(x: ExactReal, y: ExactReal, max_depth: int) -> Union[str, Indistingu
     both buffers already hold, from depth n to e, map g to
     g * 2**(e - n) + m(dys) - m(dxs), with m the left-end numerator of
     ``_left_end``; one step reads that whole block. Where the two blocks
-    are equal, as they are along the common prefix of two close
-    rationals, m(dys) - m(dxs) is 0 and the block only shifts g, with no
+    are equal, as they are along the common prefix of two close reals,
+    m(dys) - m(dxs) is 0 and the block only shifts g, with no
     ``_left_end`` call. Separation is
     monotone: if g >= 3 then 2g + k(dy) - k(dx) >= 4, and likewise for
     g <= -3, so the sign at the end of a block is the sign at the first
     depth inside it where the intervals separated. While they overlap
     |g| <= 2, so the work is linear in the depth reached.
 
-    A short buffer of an engine or stream node is demanded to just one
-    more depth, so a real computed by the engine is never expanded past
-    the depth where the intervals separate. A short rational buffer is
-    demanded to twice the depth reached (at least one digit), capped at
-    ``max_depth``. A rational fills a block of at least 64 digits per
-    division anyway, so ``compare`` takes its buffer at most to twice the
-    verdict depth or to one block, and two rationals are compared in
-    about log2(depth / 64) divisions instead of depth / 64.
+    Two rational leaves run no digit loop: by that monotony it is enough
+    to test the gap ``ny.left_end(d) - nx.left_end(d)``, one division
+    each, at d = min(64, max_depth) and then at doubling d up to
+    ``max_depth``. Their buffers stay as they are, and the work is linear
+    in the depth that separates them, not in ``max_depth``.
+
+    Otherwise a short buffer of an engine or stream node is demanded to
+    just one more depth, so a real computed by the engine is never
+    expanded past the depth where the intervals separate. The one
+    rational left, against such a real, has its short buffer demanded to
+    twice the depth reached (at least one digit), capped at
+    ``max_depth``. It fills a block of at least 64 digits per division
+    anyway, so ``compare`` takes its buffer at most to twice the verdict
+    depth or to one block.
     """
     if max_depth < 0:
         raise ValueError("compare: max_depth must be >= 0")
-    gap = 0
     nx, ny = x.node, y.node
-    xs, ys = nx.out, ny.out
     x_ahead, y_ahead = type(nx) is RationalNode, type(ny) is RationalNode
+    if x_ahead and y_ahead:
+        depth = min(64, max_depth)
+        while True:
+            gap = ny.left_end(depth) - nx.left_end(depth)
+            if gap > 2:
+                return LESS
+            if gap < -2:
+                return GREATER
+            if depth == max_depth:
+                return Indistinguishable(Fraction(1, 1 << max_depth))
+            depth = min(2 * depth, max_depth)
+    gap = 0
+    xs, ys = nx.out, ny.out
     depth = 0
     while depth < max_depth:
         if len(xs) <= depth:

@@ -162,6 +162,22 @@ def test_a_digit_stream_that_ends_raises_domain_error():
     assert x.digit_string(2) == "RC"
 
 
+def test_a_stream_tail_that_is_not_a_stream_raises_domain_error():
+    # The tail is checked when the leaf reaches it, so the digit before
+    # it still reads; an error inside a producer passes through untyped.
+    assert ExactReal(Stream(lambda: (Digit.L, 5))).digit_string(1) == "L"
+    with pytest.raises(DomainError, match="tail must be a Stream, got 5$"):
+        ExactReal(Stream(lambda: (Digit.L, 5))).digit_string(3)
+    with pytest.raises(DomainError, match="got 5$"):
+        average(ExactReal(Stream(lambda: (Digit.R, 5))), from_rational(0)).digit_string(3)
+
+    def producer():
+        return None.force()
+
+    with pytest.raises(AttributeError, match="'NoneType' object has no attribute 'force'"):
+        ExactReal(cons(Digit.L, Stream(producer))).digit_string(3)
+
+
 def test_a_held_digit_view_retains_no_cells():
     # A view keeps (node, index), and the node's buffer is the one memo:
     # reading a held view 100,000 digits deep retains about a byte per

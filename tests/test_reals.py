@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from helpers import digits_then_constant, rand_fraction, rational_stream, read_int, refine_fold
 from lrcreal import engine
-from lrcreal.digits import UNIT, Digit, digits_to_str, prefix_interval, refine
+from lrcreal.digits import UNIT, Digit, _left_end, digits_to_str, prefix_interval, refine
 from lrcreal.engine import _FILL_BLOCK, AffineData, RationalNode, StreamNode, demand, engine_states
 from lrcreal.errors import DomainError
 from lrcreal.reals import (
@@ -123,6 +123,58 @@ def test_rational_node_divides_by_the_odd_part_of_its_denominator(fraction, step
         demand(node, n)
         assert n <= len(node.out) < n + _FILL_BLOCK
         assert list(node.out) == expected[:len(node.out)]
+
+
+@given(fractions_over_a_power_of_two(), st.integers(0, 5000))
+@example((0, 1, 0), 5000)
+@example((0, 7, 12), 3)
+@example((1, 1, 0), 0)
+@example((3 << 40, 3, 40), 5000)
+@example((999999 << 63, 999999, 64), 64)
+@example((1 << 3999, 1, 4000), 4000)
+@example((5 << 3000, 1, 4000), 1001)
+@settings(deadline=None)
+def test_rational_left_end_is_one_division(fraction, n):
+    # The left end of the first n digits, by one division, must be the
+    # left end read from the digit-at-a-time long division; num = 0,
+    # num = den and the dyadic values, whose ties go to L, included.
+    num, d, e = fraction
+    node = RationalNode(num, d << e)
+    assert node.left_end(n) == _left_end(bytes(long_division(num, d << e, n)))
+    assert not node.out
+
+
+def test_rational_queries_leave_a_fresh_leaf_unfilled():
+    # Intervals, decimals and the compare of two rationals are answered by
+    # division alone, so a fresh leaf's buffer stays empty; a stream leaf
+    # over the same digits answers from its buffer.
+    r = Fraction(123457, 999983)
+    x = from_rational(r)
+    digits = ExactReal(long_division_stream(r))
+    assert x.to_interval(8000) == digits.to_interval(8000)
+    assert x.to_decimal(2399) == digits.to_decimal(2399)
+    y = from_rational(r + Fraction(1, 2 ** 3000))
+    assert compare(x, y, 4000) == LESS
+    assert not x.node.out and not y.node.out
+
+
+def test_rational_compare_asks_for_depths_up_to_twice_the_separating_one(monkeypatch):
+    # Two rational leaves are compared at depth 64 and then at doubling
+    # depths, so 1/3 against 2/3 never asks past 128 whatever max_depth.
+    asked = []
+    left_end = RationalNode.left_end
+
+    def recording(node, n):
+        asked.append(n)
+        return left_end(node, n)
+
+    monkeypatch.setattr(RationalNode, "left_end", recording)
+    assert compare(from_rational(Fraction(1, 3)), from_rational(Fraction(2, 3)), 10 ** 9) == LESS
+    assert asked and max(asked) <= 128
+    asked.clear()
+    x, y = Fraction(1, 3), Fraction(1, 3) + Fraction(1, 2 ** 1000)
+    assert compare(from_rational(y), from_rational(x), 10 ** 9) == GREATER
+    assert max(asked) <= 2 * 1002
 
 
 def test_a_failed_fill_leaves_a_rational_leaf_as_it_was(monkeypatch):
@@ -514,6 +566,42 @@ def test_compare_of_close_rationals_shifts_the_gap_over_equal_blocks(x):
             y = x + Fraction(k, 2 ** d)
             assert compare(from_rational(x), from_rational(y), 3000) == LESS
             assert compare(from_rational(y), from_rational(x), 3000) == GREATER
+
+
+@pytest.mark.parametrize("x", [Fraction(1, 3), Fraction(2, 7), Fraction(1, 2) - Fraction(1, 2 ** 64)])
+def test_compare_folds_whole_blocks_of_buffered_reals(x):
+    # Two rational leaves never reach compare's block loop, so it is fed
+    # here by reals whose buffers already hold max_depth digits: engine
+    # reals over the same rationals, folded as one whole block, and a
+    # stream leaf over a rational's long division against a fresh
+    # rational, whose read-ahead ends blocks at depths 64, 128, 256, ...
+    # x and x + k * 2**-d share about d digits, so a block can be equal in
+    # both buffers after a gap that is not yet 0 (1/2 - 2**-64 against
+    # 1/2 has gap 2 at depth 64 and R digits after it); such a block adds
+    # nothing to the gap but must still double it once per digit.
+    max_depth = 1500
+
+    def buffered(real):
+        real.digit_string(max_depth)
+        return real
+
+    for k in (1, 2, 4):
+        for d in (63, 64, 65, 128, 129, 256, 1024):
+            y = x + Fraction(k, 2 ** d)
+            xs = long_division(x.numerator, x.denominator, max_depth)
+            ys = long_division(y.numerator, y.denominator, max_depth)
+            ex = buffered(average(from_rational(x), from_rational(x)))
+            ey = buffered(average(from_rational(y), from_rational(y)))
+            cases = [
+                (ex, ey, ex.node.out, ey.node.out),
+                (ey, ex, ey.node.out, ex.node.out),
+                (from_rational(x), buffered(ExactReal(long_division_stream(y))), xs, ys),
+                (buffered(ExactReal(long_division_stream(y))), from_rational(x), ys, xs),
+                (buffered(ExactReal(long_division_stream(x))), from_rational(y), xs, ys),
+                (from_rational(y), buffered(ExactReal(long_division_stream(x))), ys, xs),
+            ]
+            for a, b, a_ds, b_ds in cases:
+                assert compare(a, b, max_depth) == gap_loop(a_ds, b_ds, max_depth)[0]
 
 
 def test_readme_library_block():
