@@ -247,8 +247,12 @@ def eval_command(e: Expr, digits: int, format: str = "digits", decimals: int = 1
     raise ValueError("unknown format: %r" % format)
 
 
-def _random_unit_fraction(rng: random.Random, bound: Fraction, max_den: int = 16) -> Fraction:
-    den = rng.randint(1, max_den)
+#: The largest denominator of a ``selftest`` coefficient.
+_SELFTEST_DEN = 16
+
+
+def _random_unit_fraction(rng: random.Random, bound: Fraction) -> Fraction:
+    den = rng.randint(1, _SELFTEST_DEN)
     max_num = int(bound * den)
     return Fraction(rng.randint(0, max_num), den)
 

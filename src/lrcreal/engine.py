@@ -76,9 +76,10 @@ yields a checked ``AffineData`` after every step, built from the helpers
 behind ``decide``, ``prod_*``, ``consume`` and ``normalize``, and
 ``production_step`` is its first emission. ``_common`` is the one
 conversion from pairs to the loop's ``(A, B, C, D)``: the reference
-decides (``_choose``) and consumes (``_carry``) on it, and an
-``EngineNode`` starts from it. All tests and rewrites are exact integer
-arithmetic; nothing here touches floating point.
+takes it once per step and decides (``_choose``) and consumes
+(``_carry``) on that one result, and an ``EngineNode`` starts from it.
+All tests and rewrites are exact integer arithmetic; nothing here
+touches floating point.
 """
 
 from collections import namedtuple
@@ -221,11 +222,12 @@ def _weight(digit) -> int:
     raise DomainError("a stream digit must have weight 0, 1 or 2, got %s" % shown)
 
 
-def _consume(a, a_den, b, b_den, c, c_den, v1, v2):
-    """Read one digit from each input; both input denominators double."""
+def _consume(x: AffineData, A, B, C, D):
+    """Read one digit from each input of x, given its ``_common`` form
+    ``(A, B, C, D)``; both input denominators double."""
+    a, a_den, b, b_den, _, _, v1, v2 = x
     d1, v1 = v1.force()
     d2, v2 = v2.force()
-    A, B, C, D = _common(a, a_den, b, b_den, c, c_den)
     return a, 2 * a_den, b, 2 * b_den, _carry(_weight(d1), _weight(d2), A, B, C), 4 * D, v1, v2
 
 
@@ -271,7 +273,7 @@ def consume(x: AffineData) -> AffineData:
         state_value(consume(x), p', q')
             == state_value(x, emit_value(d1, p'), emit_value(d2, q'))
     """
-    return AffineData(*_consume(*x))
+    return AffineData(*_consume(x, *_common(*x.coefficients)))
 
 
 def _ceil_log2(N: int, D: int) -> int:
@@ -313,9 +315,10 @@ def engine_states(x: AffineData, normalize_steps: bool = True) -> Iterator[Tuple
     """
     while True:
         a, a_den, b, b_den, c, c_den, v1, v2 = x
-        digit = _choose(*_common(a, a_den, b, b_den, c, c_den))
+        common = _common(a, a_den, b, b_den, c, c_den)
+        digit = _choose(*common)
         if digit is None:
-            a, a_den, b, b_den, c, c_den, v1, v2 = _consume(*x)
+            a, a_den, b, b_den, c, c_den, v1, v2 = _consume(x, *common)
         else:
             a, a_den, b, b_den, c, c_den = _emit(digit, a, a_den, b, b_den, c, c_den)
         if normalize_steps:
@@ -338,26 +341,23 @@ class RationalNode:
     With numerator state ``num`` over the fixed denominator N: emit L and
     double while ``2*num <= N``, else emit R and continue with
     ``2*num - N``. So ``num`` stays in (0, N] once positive, ties go to L
-    (1/2 is LRRR...) and only L and R digits ever appear. ``fill`` does k
-    steps at once: the k-bit quotient q with ``num * 2**k - q*N`` in
-    (0, N] spells the digits, one bit each, and one ``translate`` turns
-    its binary text into weights. A leaf: whoever reads it fills it,
-    a block of ``_FILL_BLOCK`` digits or more, so its buffer may run
-    ahead of what was asked by less than one block.
+    (1/2 is LRRR...) and only L and R digits ever appear. The digits are
+    the unfold of long division, so one quotient, ``_quotient(X)`` =
+    floor((X - 1) / N) or 0 for X = 0, serves the block fill and depth
+    queries alike, and zero is no special case. ``fill`` does k steps at
+    once: ``_quotient(num * 2**k)`` spells k digits, one bit each, a block
+    of ``_FILL_BLOCK`` or more, so the buffer may run ahead of demand by
+    less than one block. ``left_end(n)`` doubles ``_quotient(first * 2**n)``
+    of the start numerator ``first``; it reads only ``first``, ``den`` and
+    ``shift``, which never change, so it needs no buffer and no lock.
 
     N is kept split as ``den << shift`` with ``den`` odd, and the quotient
-    is ``((big - 1) >> shift) // den``: floor(X / (d * 2**e)) equals
-    floor(floor(X / 2**e) / d), so it is the same q, but the division is
-    by the odd part only. A denominator of e bits that is mostly a power
-    of two then costs a shift, linear in k + e, instead of a k-by-e
-    division. A failed fill leaves the leaf as it was: ``num`` moves on
-    only once the block's digits are in the buffer.
-
-    The digits are the unfold of long division, so the n-digit quotient
-    of the start numerator ``first`` is already their closed form:
-    ``left_end(n)`` answers a depth query by that one division, without
-    the buffer. It reads only ``first``, ``den`` and ``shift``, which
-    never change, so it takes no lock.
+    is ``((X - 1) >> shift) // den``: floor(Y / (d * 2**e)) equals
+    floor(floor(Y / 2**e) / d) for Y >= 0, so it is the same q, but the
+    division is by the odd part only. A denominator of e bits that is
+    mostly a power of two then costs a shift, linear in k + e, instead of
+    a k-by-e division. A failed fill leaves the leaf as it was: ``num``
+    moves on only once the block's digits are in the buffer.
     """
 
     __slots__ = ("out", "num", "first", "den", "shift")
@@ -368,16 +368,14 @@ class RationalNode:
         self.shift = (den & -den).bit_length() - 1
         self.den = den >> self.shift
 
-    def left_end(self, n: int) -> int:
-        """m such that the first ``n`` digits pin [m, m + 2] / 2**(n + 1).
+    def _quotient(self, X: int) -> int:
+        """floor((X - 1) / N), or 0 for X = 0: the digits of X/N, as bits."""
+        return ((X - 1) >> self.shift) // self.den if X else 0
 
-        The n digits spell the n-bit quotient q = floor((first * 2**n - 1) / N),
-        one bit each, with weight 2 for a 1 bit, so m = 2q, and 0 for the
-        start numerator 0, whose digits are all L.
-        """
-        if self.first == 0:
-            return 0
-        return 2 * ((((self.first << n) - 1) >> self.shift) // self.den)
+    def left_end(self, n: int) -> int:
+        """m such that the first ``n`` digits pin [m, m + 2] / 2**(n + 1):
+        they spell the n-bit quotient of ``first * 2**n``, so m is twice it."""
+        return 2 * self._quotient(self.first << n)
 
     def fill(self, n: int):
         """Extend the buffer to at least ``n`` digits and by at least one
@@ -386,14 +384,11 @@ class RationalNode:
         if n <= len(out):
             return None
         k = max(n - len(out), _FILL_BLOCK)
-        if self.num == 0:
-            out += bytes(k)
-        else:
-            big = self.num << k
-            q = ((big - 1) >> self.shift) // self.den
-            num = big - ((q * self.den) << self.shift)
-            out += format(q, "0%db" % k).encode().translate(_BIT_WEIGHT)
-            self.num = num
+        big = self.num << k
+        q = self._quotient(big)
+        num = big - ((q * self.den) << self.shift)
+        out += format(q, "0%db" % k).encode().translate(_BIT_WEIGHT)
+        self.num = num
         return None
 
 
@@ -560,7 +555,7 @@ class EngineNode:
         if automaton is None:
             automaton = _AUTOMATA[state] = _Automaton(state)
         self.automaton = automaton
-        self.at = automaton.enter(state)
+        self.at = 0  # the registry keys each automaton by its start, record 0
 
     @property
     def state(self):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import lrcreal.engine as engine_module
 from helpers import DIGITS, cycled_digits, digits_then_constant
 from lrcreal.digits import Digit, emit_value
-from lrcreal.engine import AffineData, EngineNode, StreamNode, demand, engine_states
+from lrcreal.engine import AffineData, EngineNode, StreamNode, demand, engine_states, normalize
 from lrcreal.errors import DomainError
 from lrcreal.reals import ExactReal, affine, average, from_rational
 from lrcreal.streams import Stream
@@ -184,10 +184,12 @@ def test_node_matches_engine_states_past_the_cap(x, normalize_steps):
 @given(checked_states(), periods, periods, st.lists(st.booleans(), min_size=60, max_size=60))
 def test_nodes_sharing_an_automaton_match_separate_runs(x, p1, p2, order):
     # Two nodes with equal coefficients over different inputs, demanded in
-    # interleaved order, each give what the reference gives alone.
+    # interleaved order, each give what the reference gives alone; so does
+    # a third built after them, on the automaton they grew, from record 0.
     y = x._replace(v1=cycled_digits(p1), v2=cycled_digits(p2))
     first, second = node_of(x), node_of(y)
     assert first.automaton is second.automaton
+    shared = first.automaton
     expected = {id(first): reference(x, True, 30)[0], id(second): reference(y, True, 30)[0]}
     for pick in order:
         node = first if pick else second
@@ -198,6 +200,13 @@ def test_nodes_sharing_an_automaton_match_separate_runs(x, p1, p2, order):
         assert bytes(node.out) == bytes(d for d, _, _ in rows[:k])
         assert node.read == reads
         assert_same_state(node, state, True)
+    z = x._replace(v1=cycled_digits(p2), v2=cycled_digits(p1))
+    third = node_of(z)
+    assert third.automaton is shared and third.at == 0
+    assert_same_state(third, normalize(z), True)
+    rows = reference(z, True, 30)[0]
+    demand(third, len(rows))
+    assert bytes(third.out) == bytes(d for d, _, _ in rows)
     assert_records_sound(first.automaton)
 
 

@@ -107,6 +107,7 @@ def fractions_over_a_power_of_two(draw):
 @example(((1 << 4000) // 3, 1, 4000), [1, 3999, 2, 64])
 @example((1 << 3999, 3, 4000), [4001, 1])
 @example((999999 << 63, 999999, 64), [63, 1, 1, 129])
+@example((0, 7, 12), [1, 70, 200])
 @settings(deadline=None)
 def test_rational_node_divides_by_the_odd_part_of_its_denominator(fraction, steps):
     # A denominator d * 2**e fills by a shift and a division by d alone;
