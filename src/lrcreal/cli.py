@@ -28,7 +28,6 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 from .digits import _BLOCK, _fraction_text, _int_text, _text_int
 from .errors import DomainError, ExprParseError
@@ -77,7 +76,7 @@ class Affine:
     right: "Expr"
 
 
-Expr = Union[RatLit, Avg, Add, Affine]
+Expr = RatLit | Avg | Add | Affine
 
 
 #: An operand's first token, after any whitespace: a name and "(", or a

@@ -8,10 +8,10 @@ spellings (1/2 is LRRR..., RLLL... and CCCC...); that redundancy is what
 makes arithmetic on these streams computable.
 """
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
-from typing import Iterable, List
 
 from .streams import Stream, take
 
@@ -258,7 +258,7 @@ def digits_to_str(ds: Iterable[Digit]) -> str:
     return _weights(ds).translate(_LETTER).decode("ascii")
 
 
-def str_to_digits(text: str) -> List[Digit]:
+def str_to_digits(text: str) -> list[Digit]:
     """Parse a digit string like "LCR". Raises ValueError on other letters."""
     try:
         return [Digit[ch] for ch in text]

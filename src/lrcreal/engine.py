@@ -83,11 +83,11 @@ touches floating point.
 """
 
 from collections import namedtuple
+from collections.abc import Iterator
 from enum import Enum
 from fractions import Fraction
 from math import gcd
 from threading import RLock
-from typing import Iterator, Optional, Tuple
 from weakref import WeakValueDictionary
 
 from .digits import Digit, _fraction_text
@@ -133,7 +133,7 @@ class AffineData(namedtuple("AffineData", "a a_den b b_den c c_den v1 v2")):
         return cls(*fields)
 
     @property
-    def coefficients(self) -> Tuple[int, int, int, int, int, int]:
+    def coefficients(self) -> tuple[int, int, int, int, int, int]:
         return self[:6]
 
     def with_coefficients(self, a, a_den, b, b_den, c, c_den) -> "AffineData":
@@ -177,7 +177,7 @@ def _common(a, a_den, b, b_den, c, c_den):
 _DIGITS = _L, _C, _R = Digit.L, Digit.C, Digit.R
 
 
-def _choose(A, B, C, D) -> Optional[Digit]:
+def _choose(A, B, C, D) -> Digit | None:
     """The digit the state ``(A*v1 + B*v2 + C) / D`` justifies, or None to consume.
 
     Tests R, then L, then C. The tests overlap (a state can pass both L
@@ -304,7 +304,7 @@ def normalize(x: AffineData) -> AffineData:
     return x.with_coefficients(*_reduce(*x.coefficients))
 
 
-def engine_states(x: AffineData, normalize_steps: bool = True) -> Iterator[Tuple[Optional[Digit], AffineData]]:
+def engine_states(x: AffineData, normalize_steps: bool = True) -> Iterator[tuple[Digit | None, AffineData]]:
     """Every engine step from ``x`` on: ``(emitted digit or None, state)``.
 
     The step-at-a-time definition of the engine, which ``_run`` memoizes
@@ -783,7 +783,7 @@ def stream_node(stream: Stream):
     return StreamNode(stream)
 
 
-def production_step(x: AffineData, normalize_steps: bool = True) -> Tuple[Digit, AffineData]:
+def production_step(x: AffineData, normalize_steps: bool = True) -> tuple[Digit, AffineData]:
     """Run consumptions until a digit comes out; at most measure(x) of them.
 
     The first emission of ``engine_states(x, normalize_steps)``: the digit

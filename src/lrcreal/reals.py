@@ -12,7 +12,6 @@ reals; ``compare`` bounds its search and says so when it gives up.
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Union
 
 from .digits import Interval, _dyadic_interval, _fraction_repr, _fraction_text, _left_end, _zero_padded, digits_to_str
 # No query here refines Fraction intervals or folds a digit prefix any
@@ -197,7 +196,7 @@ class Indistinguishable:
         return "Indistinguishable(resolution=%s)" % _fraction_repr(self.resolution)
 
 
-def compare(x: ExactReal, y: ExactReal, max_depth: int) -> Union[str, Indistinguishable]:
+def compare(x: ExactReal, y: ExactReal, max_depth: int) -> str | Indistinguishable:
     """Order two reals by refining until their intervals separate.
 
     Returns LESS or GREATER at the first depth <= max_depth where the

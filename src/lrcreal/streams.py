@@ -13,13 +13,9 @@ Everything here is immutable after construction and safe to share between
 threads.
 """
 
+from collections.abc import Callable, Iterator
 from functools import partial
 from itertools import islice, tee
-from typing import Callable, Iterator, List, Tuple, TypeVar
-
-T = TypeVar("T")
-U = TypeVar("U")
-S = TypeVar("S")
 
 __all__ = [
     "Stream",
@@ -102,7 +98,7 @@ class LazyList(_Cell):
 
 NIL = LazyList._ready(())
 
-def cons(h: T, t) -> "Stream":
+def cons(h, t) -> "Stream":
     """Stream with head ``h``; ``t`` is a Stream or a thunk producing one."""
     if callable(t):
         return Stream(lambda: (h, t()))
@@ -125,7 +121,7 @@ def tail(s):
     return cell[1]
 
 
-def unfold(step: Callable[[S], Tuple[T, S]], seed: S) -> "Stream":
+def unfold(step: Callable[[object], tuple], seed) -> "Stream":
     """Stream whose i-th element is the value produced by the i-th state.
 
     Reading element i runs ``step`` exactly i + 1 times (once per cell,
@@ -139,14 +135,14 @@ def _unfold_cell(step, seed):
     return value, Stream(partial(_unfold_cell, step, state))
 
 
-def take(s: "Stream", n: int) -> List:
+def take(s: "Stream", n: int) -> list:
     """First ``n`` elements; forces exactly the first ``n`` cells."""
     if n < 0:
         raise ValueError("take: n must be >= 0")
     return list(islice(s, n))
 
 
-def constant(x: T) -> "Stream":
+def constant(x) -> "Stream":
     """The stream x, x, x, ... as a single self-referential cell."""
     s = Stream.__new__(Stream)
     s._thunk = None
@@ -154,7 +150,7 @@ def constant(x: T) -> "Stream":
     return s
 
 
-def map_stream(f: Callable[[T], U], s: "Stream") -> "Stream":
+def map_stream(f: Callable, s: "Stream") -> "Stream":
     """Element-wise image; forcing element i touches i + 1 source cells."""
     return Stream(lambda: _map_stream_cell(f, s))
 
@@ -164,7 +160,7 @@ def _map_stream_cell(f, s):
     return f(h), map_stream(f, t)
 
 
-def map_lazy(f: Callable[[T], U], l: "LazyList") -> "LazyList":
+def map_lazy(f: Callable, l: "LazyList") -> "LazyList":
     """Element-wise image of a lazy list, preserving finiteness."""
     return LazyList(lambda: _map_lazy_cell(f, l))
 
@@ -177,7 +173,7 @@ def _map_lazy_cell(f, l):
     return f(h), map_lazy(f, t)
 
 
-def lazy_cons(h: T, t) -> "LazyList":
+def lazy_cons(h, t) -> "LazyList":
     """Lazy list with head ``h``; ``t`` is a LazyList or a thunk."""
     if callable(t):
         return LazyList(lambda: (h, t()))

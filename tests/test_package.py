@@ -1,7 +1,11 @@
 """The package namespace is the union of its library modules' ``__all__``."""
 
 import importlib
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import lrcreal
 
@@ -39,3 +43,29 @@ def test_node_graph_internals_are_not_public():
     for name in ("RationalNode", "StreamNode", "EngineNode", "NodeStream", "demand", "stream_node"):
         assert name not in lrcreal.engine.__all__
         assert not hasattr(lrcreal, name)
+
+
+#: Imports lrcreal afresh five times, as ``bench/run.py``'s ``load_lrcreal``
+#: does, and prints which copies' classes outlive a collection.
+RELOADS = """
+import gc, importlib, sys, weakref
+copies = []
+for _ in range(5):
+    for name in [name for name in sys.modules if name.split(".")[0] == "lrcreal"]:
+        del sys.modules[name]
+    cli = importlib.import_module("lrcreal.cli")
+    digits, engine, errors, reals, streams = (importlib.import_module("lrcreal." + name) for name in %r)
+    copies.append([weakref.ref(cls) for cls in (digits.Digit, engine.AffineData, reals.ExactReal, cli.RatLit)])
+gc.collect()
+print([sum(ref() is not None for ref in refs) for refs in copies])
+""" % (LIBRARY,)
+
+
+def test_a_reloaded_library_frees_its_earlier_copies():
+    # A child process: reloading inside this one would mix old and new
+    # classes in other tests' identity checks.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    child = subprocess.run([sys.executable, "-c", RELOADS], env=env, capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "[0, 0, 0, 0, 4]"

@@ -4,7 +4,6 @@ import random
 import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -890,6 +889,29 @@ def test_add_asks_for_many_digits_once_its_live_sum_is_at_most_1(monkeypatch):
             assert calls[0] >= reads
 
 
+def _reader(read, *args):
+    """Start ``read(*args)`` on a daemon thread; returns the thread and a
+    list that receives the result."""
+    out = []
+    thread = threading.Thread(target=lambda: out.append(read(*args)), daemon=True)
+    thread.start()
+    return thread, out
+
+
+def _results(readers, timeout=60):
+    """Each reader's result, or None where it raised.
+
+    A reader still running after ``timeout`` seconds fails the test and is
+    left behind: a daemon thread does not keep the run waiting on it, as
+    an executor's shutdown would.
+    """
+    deadline = time.monotonic() + timeout
+    for thread, _ in readers:
+        thread.join(max(0.0, deadline - time.monotonic()))
+    assert not any(thread.is_alive() for thread, _ in readers), "a reader is still running"
+    return [out[0] if out else None for _, out in readers]
+
+
 def test_threads_expanding_one_real_agree():
     # Every thread grows the same node buffers; with a short switch
     # interval they interleave inside the engine loop unless it is locked.
@@ -905,9 +927,7 @@ def test_threads_expanding_one_real_agree():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with ThreadPoolExecutor(4) as pool:
-            futures = [pool.submit(shared.digit_string, n) for n in lengths]
-            results = [f.result(timeout=60) for f in futures]
+        results = _results([_reader(shared.digit_string, n) for n in lengths])
     finally:
         sys.setswitchinterval(interval)
     assert results == [expected[:n] for n in lengths]
@@ -929,13 +949,12 @@ def test_a_second_reader_waits_for_the_first():
 
     x = real(slow_cell)
     try:
-        with ThreadPoolExecutor(2) as pool:
-            first = pool.submit(x.digit_string, 40)
-            assert entered.wait(10)
-            second = pool.submit(x.digit_string, 40)
-            time.sleep(0.1)
-            release.set()
-            results = first.result(timeout=60), second.result(timeout=60)
+        first = _reader(x.digit_string, 40)
+        assert entered.wait(10)
+        second = _reader(x.digit_string, 40)
+        time.sleep(0.1)
+        release.set()
+        results = tuple(_results([first, second]))
     finally:
         release.set()
     expected = real(lambda: (Digit.R, rational_stream(Fraction(2, 7)))).digit_string(40)
