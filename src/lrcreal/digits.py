@@ -6,6 +6,11 @@ left to right therefore pins a number into a nested chain of intervals
 whose width halves at every step. The same value usually has several
 spellings (1/2 is LRRR..., RLLL... and CCCC...); that redundancy is what
 makes arithmetic on these streams computable.
+
+A digit is its weight k (L = 0, C = 1, R = 2) and means one map: a tail
+value t goes to t/2 + k/4. ``_weight`` is the one check of a digit, for
+every function here and for the engine, and ``refine`` and ``emit_value``
+are that map written for an interval and for a value.
 """
 
 from collections.abc import Iterable
@@ -13,6 +18,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
 
+from .errors import DomainError
 from .streams import Stream, take
 
 __all__ = [
@@ -143,31 +149,38 @@ UNIT = Interval(Fraction(0), Fraction(1))
 #: ``bytes.translate`` tables from a weight byte to the high and the low
 #: bit of the weight, as b"0"/b"1", and to the digit's letter. Any other
 #: byte becomes 0xff, which ``int(..., 2)`` and ASCII decoding reject, so a
-#: stray weight raises ValueError instead of giving a wrong answer.
+#: stray byte in a buffer raises ValueError instead of giving a wrong answer.
 _HIGH_BIT = b"001".ljust(256, b"\xff")
 _LOW_BIT = b"010".ljust(256, b"\xff")
 _LETTER = b"LCR".ljust(256, b"\xff")
 
 
+def _weight(digit) -> int:
+    """A digit as its weight k: an int 0, 1 or 2 but no ``bool``, else ``DomainError``."""
+    exact = isinstance(digit, int) and digit.__class__ is not bool
+    if exact and digit in (0, 1, 2):
+        return digit
+    shown = _fraction_text(Fraction(digit)) if exact else repr(digit)
+    raise DomainError("a digit must have weight 0, 1 or 2, got %s" % shown)
+
+
 def refine(iv: Interval, d: Digit) -> Interval:
-    """The sub-interval of ``iv`` selected by ``d``; exactly half as wide."""
-    lo, hi = iv.lo, iv.hi
-    if d is Digit.L:
-        return Interval(lo, (lo + hi) / 2)
-    if d is Digit.R:
-        return Interval((lo + hi) / 2, hi)
-    quarter = (hi - lo) / 4
-    return Interval(lo + quarter, lo + 3 * quarter)
+    """The sub-interval of ``iv`` selected by ``d``: half as wide, k quarters of it above ``iv.lo``."""
+    k = _weight(d)
+    lo = iv.lo
+    half = Fraction(iv.hi - lo, 2)
+    lo += k * half / 2
+    return Interval(lo, lo + half)
 
 
 def _weights(ds: Iterable[Digit]) -> bytes:
-    """The digits ``ds`` as bytes of their weights; a digit buffer copies as is.
+    """The digits ``ds`` as bytes of their weights; a node buffer goes through as it is.
 
-    A lone int is refused: ``bytes(n)`` would read it as n L digits.
+    Any other iterable is checked digit by digit by ``_weight``.
     """
-    if isinstance(ds, int):
-        raise TypeError("expected an iterable of digits, got %r" % (ds,))
-    return bytes(ds)
+    if isinstance(ds, (bytes, bytearray)):
+        return ds
+    return bytes(map(_weight, ds))
 
 
 def _left_end(ws: bytes) -> int:
@@ -216,13 +229,9 @@ def _dyadic_interval(m: int, n: int) -> Interval:
 def emit_value(d: Digit, r: Fraction) -> Fraction:
     """Value of a stream starting with ``d`` whose tail denotes ``r``.
 
-    L maps r to r/2, R to (r+1)/2, C to (2r+1)/4.
+    Digit d of weight k maps r to r/2 + k/4: L to r/2, C to (2r+1)/4, R to (r+1)/2.
     """
-    if d is Digit.L:
-        return r / 2
-    if d is Digit.R:
-        return (r + 1) / 2
-    return (2 * r + 1) / 4
+    return Fraction(2 * r + _weight(d), 4)
 
 
 def bits_to_value(bits: Iterable[bool]) -> Fraction:

@@ -14,7 +14,8 @@ digit streams, and it alternates two kinds of step:
 Both rewrites rest on one fact about digits: digit d with weight
 k(L) = 0, k(C) = 1, k(R) = 2 maps a tail value t to ``t/2 + k/4``. So
 emitting d rescales V to ``V' = 2V - k/2``, and reading d1 and d2 turns
-the constant term into ``c/c' + k1*a/(4a') + k2*b/(4b')``.
+the constant term into ``c/c' + k1*a/(4a') + k2*b/(4b')``. The engine
+takes each stream head through ``digits._weight``, the one digit check.
 
 Writing V = (a/a')p + (b/b')q + c/c' for input values p, q in [0, 1],
 the production tests are, in priority order:
@@ -90,7 +91,7 @@ from math import gcd
 from threading import RLock
 from weakref import WeakValueDictionary
 
-from .digits import Digit, _fraction_text
+from .digits import Digit, _weight
 from .errors import DomainError
 from .streams import Stream
 
@@ -213,15 +214,6 @@ def _carry(d1: Digit, d2: Digit, A, B, C):
     return 4 * C + d1 * A + d2 * B
 
 
-def _weight(digit) -> int:
-    """A stream head as a weight: an int 0, 1 or 2 but no ``bool``, else ``DomainError``."""
-    exact = isinstance(digit, int) and digit.__class__ is not bool
-    if exact and digit in (0, 1, 2):
-        return digit
-    shown = _fraction_text(Fraction(digit)) if exact else repr(digit)
-    raise DomainError("a stream digit must have weight 0, 1 or 2, got %s" % shown)
-
-
 def _consume(x: AffineData, A, B, C, D):
     """Read one digit from each input of x, given its ``_common`` form
     ``(A, B, C, D)``; both input denominators double."""
@@ -246,9 +238,8 @@ def decide(x: AffineData) -> Decision:
 
 
 def prod_R(x: AffineData) -> AffineData:
-    """Rescale after emitting R: V' = 2V - 1. Requires c_den <= 2c."""
-    if x.c_den > 2 * x.c:
-        raise DomainError("prod_R needs c_den <= 2c, got c=%d c_den=%d" % (x.c, x.c_den))
+    """Rescale after emitting R: V' = 2V - 1. Requires c_den <= 2c: else the new
+    constant numerator 4c - 2c_den is negative, and ``AffineData`` raises DomainError."""
     return x.with_coefficients(*_emit(Digit.R, *x.coefficients))
 
 
@@ -258,9 +249,8 @@ def prod_L(x: AffineData) -> AffineData:
 
 
 def prod_C(x: AffineData) -> AffineData:
-    """Rescale after emitting C: V' = 2V - 1/2. Requires c_den <= 4c."""
-    if x.c_den > 4 * x.c:
-        raise DomainError("prod_C needs c_den <= 4c, got c=%d c_den=%d" % (x.c, x.c_den))
+    """Rescale after emitting C: V' = 2V - 1/2. Requires c_den <= 4c: else the new
+    constant numerator 4c - c_den is negative, and ``AffineData`` raises DomainError."""
     return x.with_coefficients(*_emit(Digit.C, *x.coefficients))
 
 

@@ -15,16 +15,6 @@ from lrcreal.streams import Stream, cons, constant, unfold
 DIGITS = (Digit.L, Digit.R, Digit.C)
 
 
-def read_int(text: str) -> int:
-    """``int(text)`` read in chunks of 1000 digits, so past Python's
-    4300-digit int-to-text limit."""
-    value = 0
-    for i in range(0, len(text), 1000):
-        chunk = text[i:i + 1000]
-        value = value * 10 ** len(chunk) + int(chunk)
-    return value
-
-
 def rand_fraction(rng: random.Random, max_den: int = 1000) -> Fraction:
     """Uniform-ish rational in [0, 1]."""
     den = rng.randint(1, max_den)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lrcreal.engine as engine_module
 from helpers import DIGITS, prefixed_stream
 from lrcreal.digits import Digit, digits_to_str, prefix_interval
 from lrcreal.engine import AffineData, EngineNode, NodeStream, StreamNode, engine_states
@@ -176,6 +177,24 @@ def test_a_stream_tail_that_is_not_a_stream_raises_domain_error():
 
     with pytest.raises(AttributeError, match="'NoneType' object has no attribute 'force'"):
         ExactReal(cons(Digit.L, Stream(producer))).digit_string(3)
+
+
+def test_a_leaf_over_a_view_fills_the_view_node_in_one_activation(monkeypatch):
+    # The leaf asks the node behind its view for every digit it needs at
+    # once; asking for one more digit at a time gives the same digits in
+    # one engine activation per digit.
+    activations = []
+    run = engine_module._run
+
+    def counting(node, want):
+        activations.append(want)
+        return run(node, want)
+
+    monkeypatch.setattr(engine_module, "_run", counting)
+    x = average(from_rational(Fraction(1, 3)), from_rational(Fraction(2, 7)))
+    text = ExactReal(NodeStream(x.node, 1)).digit_string(200)
+    assert len(activations) <= 2
+    assert text == x.digit_string(201)[1:]
 
 
 def test_a_held_digit_view_retains_no_cells():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import read_int, reference_parse
+from helpers import reference_parse
 from lrcreal.cli import (
     Add,
     Affine,
@@ -22,7 +22,7 @@ from lrcreal.cli import (
     parse_expr,
     selftest_command,
 )
-from lrcreal.digits import prefix_interval, str_to_digits
+from lrcreal.digits import _text_int, prefix_interval, str_to_digits
 from lrcreal.engine import RationalNode
 from lrcreal.errors import DomainError, ExprParseError
 from lrcreal.reals import from_rational
@@ -188,6 +188,11 @@ def test_format_parse_round_trip():
     for _ in range(1000):
         e = rand_expr(rng, rng.randint(0, 5))
         assert parse_expr(format_expr(e)) == e
+    for e in (Fraction(1, 2), Avg(RatLit(Fraction(1, 2)), None)):
+        with pytest.raises(TypeError, match="not an Expr"):
+            format_expr(e)
+        with pytest.raises(TypeError, match="not an Expr"):
+            build_real(e)
 
 
 def test_eval_command_examples():
@@ -201,6 +206,10 @@ def test_eval_command_examples():
     assert lo <= Fraction(1, 4) <= hi
 
     assert eval_command(parse_expr("1/3"), 6, "decimal", 4) == "0.3333"
+    with pytest.raises(ValueError, match="digits must be >= 0"):
+        eval_command(parse_expr("1/3"), -1, "digits")
+    with pytest.raises(ValueError, match="unknown format: 'hex'"):
+        eval_command(parse_expr("1/3"), 6, "hex")
 
 
 def test_add_overflow_is_domain_error():
@@ -331,6 +340,8 @@ def test_fib_command():
     assert fib_command(10).split(" | ")[0].split()[-1] == "55"
     line = fib_command(0)
     assert "increasing: true" in line and "local_fib: true" in line
+    with pytest.raises(ValueError, match="count must be >= 0"):
+        fib_command(-1)
 
 
 def test_fib_command_past_int_str_limit():
@@ -364,6 +375,8 @@ def test_main_in_process_exit_codes():
     assert main(["fib", "--count", "3"]) == 0
     assert main(["selftest", "--cases", "-5"]) == 2
     assert main(["selftest", "--depth", "-1"]) == 2
+    assert main(["eval", "1/3", "--digits", "-1"]) == 2
+    assert main(["fib", "--count", "-1"]) == 2
 
 
 def test_main_reports_out_of_memory_as_exit_2(capsys, monkeypatch):
@@ -394,7 +407,7 @@ def test_main_eval_interval_past_int_str_limit(capsys):
     # The output is read back in short chunks.
     assert main(["eval", "1/3", "--format", "interval", "--digits", "20000"]) == 0
     lo, hi = (
-        Fraction(*map(read_int, end.split("/")))
+        Fraction(*map(_text_int, end.split("/")))
         for end in capsys.readouterr().out.strip().strip("[]").split(", ")
     )
     iv = from_rational(Fraction(1, 3)).to_interval(20000)

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import read_int, refine_fold
+from helpers import refine_fold
 from lrcreal.digits import (
     Digit,
     Interval,
     UNIT,
+    _text_int,
     bit_to_digit,
     bits_to_value,
     digits_to_str,
@@ -19,8 +20,9 @@ from lrcreal.digits import (
     represents_to_depth,
     str_to_digits,
 )
-from lrcreal.reals import from_rational
-from lrcreal.streams import constant
+from lrcreal.errors import DomainError
+from lrcreal.reals import ExactReal, from_rational
+from lrcreal.streams import cons, constant
 
 digit_lists = st.lists(st.sampled_from(list(Digit)), max_size=64)
 #: Lengths drawn uniformly up to 300, so deep prefixes are common.
@@ -148,7 +150,7 @@ def test_interval_repr_at_any_depth():
     lo, hi = text[len("Interval(lo="):-1].split(", hi=")
     for endpoint, expected in ((lo, deep.lo), (hi, deep.hi)):
         num, den = endpoint[len("Fraction("):-1].split(", ")
-        assert Fraction(read_int(num), read_int(den)) == expected
+        assert Fraction(_text_int(num), _text_int(den)) == expected
     with pytest.raises(ValueError, match="out of order"):
         Interval(deep.hi, deep.lo)
 
@@ -157,6 +159,34 @@ def test_digit_value_is_its_weight():
     # digit d selects [k/4, k/4 + 1/2] of [0, 1], and its value is k
     for d in Digit:
         assert prefix_interval([d]) == Interval(Fraction(d, 4), Fraction(d, 4) + Fraction(1, 2))
+
+
+def test_a_digit_is_its_weight_and_nothing_else_is_a_digit():
+    # Raw weights 0, 1 and 2 mean L, C and R in every function; anything
+    # else raises DomainError, where it once read as C or as a weight.
+    r = Fraction(1, 3)
+    for d in Digit:
+        k = int(d)
+        assert refine(UNIT, k) == refine(UNIT, d)
+        assert emit_value(k, r) == emit_value(d, r)
+        assert prefix_interval([k, Digit.C]) == prefix_interval([d, Digit.C])
+        assert digits_to_str([k]) == str(d)
+    for stray in ("L", 3, -1, True, None):
+        for call in (
+            lambda: refine(UNIT, stray),
+            lambda: emit_value(stray, r),
+            lambda: prefix_interval([Digit.L, stray]),
+            lambda: digits_to_str([stray]),
+            lambda: ExactReal(cons(stray, constant(Digit.C))).digit_string(1),
+        ):
+            with pytest.raises(DomainError, match="a digit must have weight 0, 1 or 2, got %r$" % (stray,)):
+                call()
+    # Int inputs give exact results, never a float.
+    value = emit_value(Digit.L, 1)
+    assert (type(value), value) == (Fraction, Fraction(1, 2))
+    iv = refine(Interval(0, 1), Digit.L)
+    assert (type(iv.lo), type(iv.hi)) == (Fraction, Fraction)
+    assert repr(iv) == "Interval(lo=Fraction(0, 1), hi=Fraction(1, 2))"
 
 
 def test_digit_text_forms():

@@ -94,6 +94,7 @@ def test_prod_examples():
     assert prod_R(coeff_state(1, 2, 1, 2, 3, 4)).coefficients == (2, 2, 2, 2, 4, 8)
     assert prod_L(coeff_state(0, 1, 0, 1, 1, 4)).coefficients == (0, 1, 0, 1, 4, 8)
     assert prod_C(coeff_state(1, 4, 0, 1, 1, 3)).coefficients == (2, 4, 0, 1, 1, 6)
+    assert repr(coeff_state(1, 2, 1, 2, 3, 4)) == "AffineData(1/2, 1/2, 3/4)"
 
 
 def test_prod_preconditions():

@@ -12,9 +12,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import digits_then_constant, rand_fraction, rational_stream, read_int, refine_fold
+from helpers import digits_then_constant, rand_fraction, rational_stream, refine_fold
 from lrcreal import engine
-from lrcreal.digits import UNIT, Digit, _left_end, digits_to_str, prefix_interval, refine
+from lrcreal.digits import UNIT, Digit, _left_end, _text_int, digits_to_str, prefix_interval, refine
 from lrcreal.engine import _FILL_BLOCK, AffineData, RationalNode, StreamNode, demand, engine_states
 from lrcreal.errors import DomainError
 from lrcreal.reals import (
@@ -204,6 +204,8 @@ def test_to_interval():
     iv = third.to_interval(2)
     assert (iv.lo, iv.hi) == (Fraction(1, 4), Fraction(1, 2))
     assert third.to_interval(9).width == Fraction(1, 512)
+    with pytest.raises(ValueError, match="depth must be >= 0"):
+        third.to_interval(-1)
 
 
 def test_to_interval_width_law():
@@ -274,12 +276,15 @@ def test_to_decimal_past_int_str_limit():
         units = math.floor(mid * scale + Fraction(1, 2))
         whole, frac = x.to_decimal(places).split(".")
         assert len(frac) == places
-        assert (int(whole), read_int(frac)) == divmod(units, scale)
+        assert (int(whole), _text_int(frac)) == divmod(units, scale)
 
 
 def test_average_examples():
     avg = average(from_rational(Fraction(1, 3)), from_rational(Fraction(1, 6)))
     assert avg.to_interval(40).contains(Fraction(1, 4))
+    assert repr(avg) == "ExactReal(%s...)" % avg.digit_string(8)
+    with pytest.raises(ValueError, match="depth must be >= 0"):
+        avg.to_interval(-1)
 
     x = from_rational(Fraction(3, 7))
     assert average(x, x).to_interval(40).contains(Fraction(3, 7))
@@ -371,6 +376,8 @@ def test_compare():
 
     x = from_rational(Fraction(2, 7))
     assert compare(x, x, 11) == Indistinguishable(Fraction(1, 2 ** 11))
+    with pytest.raises(ValueError, match="max_depth must be >= 0"):
+        compare(x, x, -1)
 
     # two spellings of 1/2: intervals always share the point 1/2
     lr = ExactReal(cons(Digit.L, constant(Digit.R)))
@@ -385,7 +392,7 @@ def test_indistinguishable_repr_at_any_depth():
     text = repr(compare(x, x, 20000))
     prefix, den = text[:-2].split(", ")
     assert (prefix, text[-2:]) == ("Indistinguishable(resolution=Fraction(1", "))")
-    assert read_int(den) == 2 ** 20000
+    assert _text_int(den) == 2 ** 20000
 
 
 def test_compare_spellings_of_half_deep():

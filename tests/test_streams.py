@@ -143,6 +143,10 @@ def test_map_lazy():
     l = from_list([1, 2, 3])
     assert list(map_lazy(lambda x: x * 10, l)) == [10, 20, 30]
     assert not map_lazy(lambda x: x, NIL).force()
+    with pytest.raises(IndexError, match="head of nil"):
+        head(NIL)
+    with pytest.raises(IndexError, match="tail of nil"):
+        tail(NIL)
 
 
 @given(st.lists(st.integers(), max_size=30))
@@ -194,6 +198,8 @@ def test_bisimilar_examples():
     assert not bisimilar_to_depth(from_list([1, 2]), from_list([1, 2, 3]), 3)
     assert bisimilar_to_depth(from_list([1, 2]), from_list([1, 2, 3]), 2)
     assert bisimilar_to_depth(constant(0), cons(1, constant(0)), 0)
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        bisimilar_to_depth(s, s, -1)
 
 
 def test_bisimilar_rejects_mixed_types():
@@ -228,6 +234,9 @@ def test_increasing_and_local_fib():
     assert not increasing_to_depth(decreasing, 10)
     assert increasing_to_depth(decreasing, 0)
     assert local_fib_to_depth(constant(1), 0)
+    for check in (increasing_to_depth, local_fib_to_depth):
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            check(fib_stream(1, 1), -1)
 
 
 def test_depth_checks_force_only_the_cells_they_read():
