@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .digits import _BLOCK, _fraction_text, _int_text, _text_int
-from .errors import DomainError, ExprParseError
+from .errors import DomainError, ExprParseError, _count
 from .reals import ExactReal, affine, average, from_rational
 from .streams import fib_stream, increasing_to_depth, local_fib_to_depth, take
 
@@ -176,22 +176,29 @@ def parse_expr(text: str) -> Expr:
             return e
 
 
+#: Marks for the text ``format_expr`` still has to write: no operand, a
+#: ``str`` included, can be one.
+_CLOSE, _COMMA = object(), object()
+
+
 def format_expr(e: Expr) -> str:
     """Render an Expr in the grammar's concrete syntax (reparses equal)."""
     parts = []
-    todo = [e]  # expressions still to render and text still to write, last first
+    todo = [e]  # expressions still to render and marks of text still to write, last first
     while todo:
         item = todo.pop()
-        if isinstance(item, str):
-            parts.append(item)
+        if item is _CLOSE:
+            parts.append(")")
+        elif item is _COMMA:
+            parts.append(", ")
         elif isinstance(item, RatLit):
             parts.append(_fraction_text(item.value))
         elif isinstance(item, (Avg, Add)):
             parts.append("avg(" if isinstance(item, Avg) else "add(")
-            todo += [")", item.right, ", ", item.left]
+            todo += [_CLOSE, item.right, _COMMA, item.left]
         elif isinstance(item, Affine):
             parts.append("affine(%s, %s, %s; " % tuple(map(_fraction_text, (item.ca, item.cb, item.cc))))
-            todo += [")", item.right, ", ", item.left]
+            todo += [_CLOSE, item.right, _COMMA, item.left]
         else:
             raise TypeError("not an Expr: %r" % (item,))
     return "".join(parts)
@@ -234,8 +241,7 @@ def build_real(e: Expr) -> ExactReal:
 
 def eval_command(e: Expr, digits: int, format: str = "digits", decimals: int = 12) -> str:
     """One output line for the evaluated expression."""
-    if digits < 0:
-        raise ValueError("digits must be >= 0")
+    _count(digits, "digits")
     x = build_real(e)
     if format == "digits":
         return x.digit_string(digits)
@@ -267,10 +273,8 @@ def selftest_command(cases: int, depth: int, seed: int):
     ones that pure rational inputs (L and R only) never reach.
     Deterministic for a fixed seed.
     """
-    if cases < 0:
-        raise ValueError("cases must be >= 0")
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
+    _count(cases, "cases")
+    _count(depth, "depth")
     rng = random.Random(seed)
     passed = 0
     failures = []
@@ -312,8 +316,7 @@ def selftest_command(cases: int, depth: int, seed: int):
 
 def fib_command(count: int) -> str:
     """First ``count`` Fibonacci elements plus the two stream checks."""
-    if count < 0:
-        raise ValueError("count must be >= 0")
+    _count(count, "count")
     s = fib_stream(1, 1)
     elems = " ".join(_int_text(v) for v in take(s, count))
     inc = str(increasing_to_depth(s, count)).lower()

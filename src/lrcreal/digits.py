@@ -10,15 +10,19 @@ makes arithmetic on these streams computable.
 A digit is its weight k (L = 0, C = 1, R = 2) and means one map: a tail
 value t goes to t/2 + k/4. ``_weight`` is the one check of a digit, for
 every function here and for the engine, and ``refine`` and ``emit_value``
-are that map written for an interval and for a value.
+are that map written for an interval and for a value. ``_ratio`` is the
+one check of an exact rational: an ``Interval`` endpoint, the value
+``emit_value`` maps, and the rationals that ``reals`` and the engine's
+``state_value`` take.
 """
 
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
+from numbers import Rational
 
-from .errors import DomainError
+from .errors import DomainError, _count
 from .streams import Stream, take
 
 __all__ = [
@@ -53,12 +57,14 @@ class Digit(IntEnum):
 
 @dataclass(frozen=True)
 class Interval:
-    """Closed interval [lo, hi] with exact rational endpoints."""
+    """Closed interval [lo, hi] with exact rational endpoints; any other endpoint raises DomainError."""
 
     lo: Fraction
     hi: Fraction
 
     def __post_init__(self):
+        _ratio(self.lo, "Interval")
+        _ratio(self.hi, "Interval")
         if self.lo > self.hi:
             raise ValueError(
                 "interval endpoints out of order: %s > %s" % (_fraction_text(self.lo), _fraction_text(self.hi))
@@ -144,8 +150,6 @@ def _fraction_repr(r: Fraction) -> str:
     return "Fraction(%s%s, %s)" % ("-" * (r < 0), _int_text(abs(r.numerator)), _int_text(r.denominator))
 
 
-UNIT = Interval(Fraction(0), Fraction(1))
-
 #: ``bytes.translate`` tables from a weight byte to the high and the low
 #: bit of the weight, as b"0"/b"1", and to the digit's letter. Any other
 #: byte becomes 0xff, which ``int(..., 2)`` and ASCII decoding reject, so a
@@ -162,6 +166,17 @@ def _weight(digit) -> int:
         return digit
     shown = _fraction_text(Fraction(digit)) if exact else repr(digit)
     raise DomainError("a digit must have weight 0, 1 or 2, got %s" % shown)
+
+
+def _ratio(r, what: str) -> tuple[int, int]:
+    """An exact rational as ``(numerator, denominator)``: an int or a ``numbers.Rational``
+    but no ``bool``, else ``DomainError`` naming ``what``."""
+    if r.__class__ is bool or not isinstance(r, Rational):
+        raise DomainError("%s needs an int or a rational, got %r" % (what, r))
+    return r.numerator, r.denominator
+
+
+UNIT = Interval(Fraction(0), Fraction(1))
 
 
 def refine(iv: Interval, d: Digit) -> Interval:
@@ -231,7 +246,9 @@ def emit_value(d: Digit, r: Fraction) -> Fraction:
 
     Digit d of weight k maps r to r/2 + k/4: L to r/2, C to (2r+1)/4, R to (r+1)/2.
     """
-    return Fraction(2 * r + _weight(d), 4)
+    k = _weight(d)
+    num, den = _ratio(r, "emit_value")
+    return Fraction(2 * num + k * den, 4 * den)
 
 
 def bits_to_value(bits: Iterable[bool]) -> Fraction:
@@ -257,8 +274,7 @@ def represents_to_depth(s: Stream, r: Fraction, n: int) -> bool:
     Closed-interval membership: endpoint hits count. A finite check only;
     it cannot certify the full infinite representation.
     """
-    if n < 0:
-        raise ValueError("represents_to_depth: n must be >= 0")
+    _count(n, "represents_to_depth: n")
     return prefix_interval(take(s, n)).contains(r)
 
 

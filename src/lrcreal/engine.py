@@ -70,17 +70,17 @@ same state share one automaton, held weakly in a registry, which dies
 with the last of them.
 
 ``AffineData`` is the state in pair form, a named tuple ``(a, a', b, b',
-c, c', v1, v2)`` whose constructor checks the signs. A digit is its own
-weight (``Digit`` is an ``IntEnum``). ``engine_states`` is the
-step-at-a-time definition of the engine that ``_run`` memoizes: it
-yields a checked ``AffineData`` after every step, built from the helpers
-behind ``decide``, ``prod_*``, ``consume`` and ``normalize``, and
-``production_step`` is its first emission. ``_common`` is the one
-conversion from pairs to the loop's ``(A, B, C, D)``: the reference
-takes it once per step and decides (``_choose``) and consumes
-(``_carry``) on that one result, and an ``EngineNode`` starts from it.
-All tests and rewrites are exact integer arithmetic; nothing here
-touches floating point.
+c, c', v1, v2)`` whose constructor checks each coefficient with
+``errors._count``. A digit is its own weight (``Digit`` is an
+``IntEnum``). ``engine_states`` is the step-at-a-time definition of the
+engine that ``_run`` memoizes: it yields a checked ``AffineData`` after
+every step, built from the helpers behind ``decide``, ``prod_*``,
+``consume`` and ``normalize``, and ``production_step`` is its first
+emission. ``_common`` is the one conversion from pairs to the loop's
+``(A, B, C, D)``: the reference takes it once per step and decides
+(``_choose``) and consumes (``_carry``) on that one result, and an
+``EngineNode`` starts from it. All tests and rewrites are exact integer
+arithmetic; nothing here touches floating point.
 """
 
 from collections import namedtuple
@@ -91,8 +91,8 @@ from math import gcd
 from threading import RLock
 from weakref import WeakValueDictionary
 
-from .digits import Digit, _weight
-from .errors import DomainError
+from .digits import Digit, _ratio, _weight
+from .errors import DomainError, _count
 from .streams import Stream
 
 __all__ = [
@@ -115,17 +115,18 @@ __all__ = [
 class AffineData(namedtuple("AffineData", "a a_den b b_den c c_den v1 v2")):
     """Engine state: coefficients of (a/a_den)*v1 + (b/b_den)*v2 + c/c_den.
 
-    Construction enforces the sign discipline the step functions rely on:
-    numerators non-negative, denominators strictly positive.
+    Construction enforces the discipline the step functions rely on,
+    through the one check of a count: every coefficient an int but no
+    ``bool``, numerators at least 0, denominators at least 1.
     """
 
     __slots__ = ()
 
     def __new__(cls, a: int, a_den: int, b: int, b_den: int, c: int, c_den: int, v1: Stream, v2: Stream):
-        if not (a >= 0 and b >= 0 and c >= 0):
-            raise DomainError("coefficient numerators must be non-negative: %s" % ((a, a_den, b, b_den, c, c_den),))
-        if not (a_den > 0 and b_den > 0 and c_den > 0):
-            raise DomainError("coefficient denominators must be positive: %s" % ((a, a_den, b, b_den, c, c_den),))
+        for num in (a, b, c):
+            _count(num, "an AffineData numerator")
+        for den in (a_den, b_den, c_den):
+            _count(den, "an AffineData denominator", 1)
         return tuple.__new__(cls, (a, a_den, b, b_den, c, c_den, v1, v2))
 
     @classmethod
@@ -154,12 +155,13 @@ class Decision(Enum):
 
 
 def state_value(x: AffineData, p: Fraction, q: Fraction) -> Fraction:
-    """Exact value of the state at input values p and q (the test oracle)."""
-    return (
-        Fraction(x.a, x.a_den) * p
-        + Fraction(x.b, x.b_den) * q
-        + Fraction(x.c, x.c_den)
-    )
+    """Exact value of the state at input values p and q (the test oracle).
+
+    p and q are ints or ``numbers.Rational``s, as ``digits._ratio`` checks.
+    """
+    p_num, p_den = _ratio(p, "state_value")
+    q_num, q_den = _ratio(q, "state_value")
+    return Fraction(x.a * p_num, x.a_den * p_den) + Fraction(x.b * q_num, x.b_den * q_den) + Fraction(x.c, x.c_den)
 
 
 def _common(a, a_den, b, b_den, c, c_den):

@@ -11,15 +11,16 @@ reals; ``compare`` bounds its search and says so when it gives up.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
 
-from .digits import Interval, _dyadic_interval, _fraction_repr, _fraction_text, _left_end, _zero_padded, digits_to_str
+from .digits import (
+    Interval, _dyadic_interval, _fraction_repr, _fraction_text, _left_end, _ratio, _zero_padded, digits_to_str,
+)
 # No query here refines Fraction intervals or folds a digit prefix any
 # more, but the benchmark's tracer (bench/spans.py) wraps the
 # ``reals.refine`` and ``reals.prefix_interval`` bindings, so they stay.
 from .digits import prefix_interval, refine  # noqa: F401
 from .engine import EngineNode, NodeStream, RationalNode, demand, stream_node
-from .errors import DomainError
+from .errors import DomainError, _count
 from .streams import Stream
 
 __all__ = [
@@ -55,8 +56,7 @@ class ExactReal:
 
     def _prefix(self, n: int) -> bytearray:
         """The weights of the first ``n`` digits, produced if not yet there."""
-        if n < 0:
-            raise ValueError("depth must be >= 0")
+        _count(n, "depth")
         demand(self.node, n)
         return self.node.out[:n]
 
@@ -64,11 +64,12 @@ class ExactReal:
         """m such that the first ``depth`` digits pin [m, m + 2] / 2**(depth + 1).
 
         A rational leaf answers by one division (``RationalNode.left_end``)
-        and leaves its buffer alone; any other node reads its digits, and
-        a negative depth raises ValueError in ``_prefix``.
+        and leaves its buffer alone; any other node reads its digits
+        through ``_prefix``. Both check ``depth`` first.
         """
         node = self.node
-        if type(node) is RationalNode and depth >= 0:
+        if type(node) is RationalNode:
+            _count(depth, "depth")
             return node.left_end(depth)
         return _left_end(self._prefix(depth))
 
@@ -100,8 +101,7 @@ class ExactReal:
         No ``Fraction`` is built, and a rational leaf finds m by one
         division, with no digits.
         """
-        if places < 1:
-            raise ValueError("to_decimal: places must be >= 1")
+        _count(places, "to_decimal: places", 1)
         scale = 10 ** places
         depth = scale.bit_length() + 2
         m = self._left_end(depth)
@@ -116,12 +116,6 @@ def _real(node) -> ExactReal:
     x = ExactReal.__new__(ExactReal)
     x.node = node
     return x
-
-
-def _ratio(r, what: str):
-    if r.__class__ is bool or not isinstance(r, Rational):
-        raise DomainError("%s needs an int or a rational, got %r" % (what, r))
-    return r.numerator, r.denominator
 
 
 def from_rational(r: Fraction) -> ExactReal:
@@ -233,8 +227,7 @@ def compare(x: ExactReal, y: ExactReal, max_depth: int) -> str | Indistinguishab
     anyway, so ``compare`` takes its buffer at most to twice the verdict
     depth or to one block.
     """
-    if max_depth < 0:
-        raise ValueError("compare: max_depth must be >= 0")
+    _count(max_depth, "compare: max_depth")
     nx, ny = x.node, y.node
     x_ahead, y_ahead = type(nx) is RationalNode, type(ny) is RationalNode
     if x_ahead and y_ahead:

@@ -17,6 +17,8 @@ from collections.abc import Callable, Iterator
 from functools import partial
 from itertools import islice, tee
 
+from .errors import _count
+
 __all__ = [
     "Stream",
     "LazyList",
@@ -137,8 +139,7 @@ def _unfold_cell(step, seed):
 
 def take(s: "Stream", n: int) -> list:
     """First ``n`` elements; forces exactly the first ``n`` cells."""
-    if n < 0:
-        raise ValueError("take: n must be >= 0")
+    _count(n, "take: n")
     return list(islice(s, n))
 
 
@@ -204,8 +205,7 @@ def bisimilar_to_depth(a, b, n: int) -> bool:
     kind = Stream if isinstance(a, Stream) else LazyList
     if not (isinstance(a, kind) and isinstance(b, kind)):
         raise TypeError("bisimilar_to_depth: works on two streams or two lazy lists")
-    if n < 0:
-        raise ValueError("bisimilar_to_depth: n must be >= 0")
+    _count(n, "bisimilar_to_depth: n")
     for _ in range(n):
         ca = a.force()
         cb = b.force()
@@ -234,8 +234,7 @@ def _windows(s: "Stream", w: int, n: int) -> Iterator[tuple]:
 
 def increasing_to_depth(s: "Stream", n: int) -> bool:
     """Is every adjacent pair among the first n + 1 elements non-decreasing?"""
-    if n < 0:
-        raise ValueError("increasing_to_depth: n must be >= 0")
+    _count(n, "increasing_to_depth: n")
     return all(x <= y for x, y in _windows(s, 2, n))
 
 
@@ -244,6 +243,5 @@ def local_fib_to_depth(s: "Stream", n: int) -> bool:
 
     A triple (x, y, z) is good when z == x + y.
     """
-    if n < 0:
-        raise ValueError("local_fib_to_depth: n must be >= 0")
+    _count(n, "local_fib_to_depth: n")
     return all(x + y == z for x, y, z in _windows(s, 3, n))

@@ -14,8 +14,10 @@ from hypothesis import strategies as st
 
 from helpers import digits_then_constant, rand_fraction, rational_stream, refine_fold
 from lrcreal import engine
-from lrcreal.digits import UNIT, Digit, _left_end, _text_int, digits_to_str, prefix_interval, refine
-from lrcreal.engine import _FILL_BLOCK, AffineData, RationalNode, StreamNode, demand, engine_states
+from lrcreal.digits import (
+    UNIT, Digit, Interval, _left_end, _text_int, digits_to_str, emit_value, prefix_interval, refine,
+)
+from lrcreal.engine import _FILL_BLOCK, AffineData, RationalNode, StreamNode, demand, engine_states, state_value
 from lrcreal.errors import DomainError
 from lrcreal.reals import (
     GREATER,
@@ -331,7 +333,35 @@ def test_inputs_that_are_not_exact_rationals_raise_domain_error():
             with pytest.raises(DomainError) as err:
                 affine(*coefficients, x, x)
             assert str(err.value) == "affine needs an int or a rational, got %r" % (bad,)
+        # The spec layer takes its rationals through the same check: a float
+        # endpoint built an Interval whose str() raised AttributeError,
+        # emit_value raised TypeError and state_value returned a float.
+        for endpoints in ((bad, 1), (0, bad)):
+            with pytest.raises(DomainError) as err:
+                Interval(*endpoints)
+            assert str(err.value) == "Interval needs an int or a rational, got %r" % (bad,)
+        with pytest.raises(DomainError) as err:
+            emit_value(Digit.L, bad)
+        assert str(err.value) == "emit_value needs an int or a rational, got %r" % (bad,)
+        state = AffineData(1, 2, 1, 2, 0, 1, x.digits, x.digits)
+        for inputs in ((bad, 0), (0, bad)):
+            with pytest.raises(DomainError) as err:
+                state_value(state, *inputs)
+            assert str(err.value) == "state_value needs an int or a rational, got %r" % (bad,)
+    # An engine state's coefficients are ints: AffineData(0.5, 1, ...) printed
+    # as AffineData(0/1, 0/1, 0/1) and produce_stream on it raised TypeError.
+    for bad in (0.5, float("nan"), True, False, Fraction(1, 2), Decimal("0.5"), "1"):
+        for at in range(6):
+            coefficients = [1] * 6
+            coefficients[at] = bad
+            with pytest.raises(DomainError) as err:
+                AffineData(*coefficients, x.digits, x.digits)
+            part = "denominator" if at % 2 else "numerator"
+            assert str(err.value) == "an AffineData %s must be an int, got %r" % (part, bad)
     # ints and Fractions read as before
+    assert str(Interval(0, Fraction(1, 2))) == "[0, 1/2]"
+    assert emit_value(Digit.C, 1) == Fraction(3, 4)
+    assert state_value(AffineData(1, 2, 1, 2, 0, 1, x.digits, x.digits), 1, Fraction(1, 2)) == Fraction(3, 4)
     assert from_rational(1).digit_string(8) == "RRRRRRRR"
     assert from_rational(0).digit_string(8) == "LLLLLLLL"
     by_fractions = affine(Fraction(1, 2), Fraction(1, 4), Fraction(0), x, x)
