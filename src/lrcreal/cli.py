@@ -240,8 +240,10 @@ def build_real(e: Expr) -> ExactReal:
 
 
 def eval_command(e: Expr, digits: int, format: str = "digits", decimals: int = 12) -> str:
-    """One output line for the evaluated expression."""
+    """One output line for the evaluated expression; ``digits`` and
+    ``decimals`` are checked under every format, before anything is built."""
     _count(digits, "digits")
+    _count(decimals, "decimals", 1)
     x = build_real(e)
     if format == "digits":
         return x.digit_string(digits)

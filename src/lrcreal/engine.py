@@ -48,7 +48,8 @@ coefficients sum to at most 1. No engine node produces a digit that is
 not asked for; a rational leaf, which needs no engine, fills a block of
 digits with one big-integer division and so runs ahead of demand by less
 than one block, and answers an interval query at any depth by one
-division without filling at all (``RationalNode.left_end``).
+division, and a decimal query by long division in base 10, without
+filling at all (``RationalNode.left_end`` and ``decimals``).
 A node's buffer is the one memo of its digits: a ``NodeStream`` is a
 ``Stream`` view of it that keeps only the node and an index, so reading
 a real's digits as a stream memoizes nothing a second time.
@@ -326,6 +327,12 @@ _FILL_BLOCK = 64
 #: A quotient bit, as text, to a weight: long division emits L for 0 and R for 1.
 _BIT_WEIGHT = bytes.maketrans(b"01", bytes((_L, _R)))
 
+#: Decimal digits a rational leaf's ``decimals`` divides out per step.
+#: Blocks of 100 to 200 digits cost about the same; each block's text is
+#: short enough that ``%d`` renders it in time linear in the block.
+_DECIMAL_BLOCK = 150
+_DECIMAL_STEP = 10 ** _DECIMAL_BLOCK
+
 
 class RationalNode:
     """The digits of a rational ``num/N`` in [0, 1], by long division.
@@ -350,6 +357,12 @@ class RationalNode:
     mostly a power of two then costs a shift, linear in k + e, instead of
     a k-by-e division. A failed fill leaves the leaf as it was: ``num``
     moves on only once the block's digits are in the buffer.
+
+    ``decimals(p)`` is the same unfold in base 10: the whole part and the
+    first p decimal digits of ``first / N``, ``_DECIMAL_BLOCK`` digits per
+    division, and the remainder left after them. Like ``left_end`` it
+    reads only the fixed fields, so ``ExactReal.to_decimal`` and
+    ``compare`` answer a rational leaf from its fraction, with no buffer.
     """
 
     __slots__ = ("out", "num", "first", "den", "shift")
@@ -360,6 +373,11 @@ class RationalNode:
         self.shift = (den & -den).bit_length() - 1
         self.den = den >> self.shift
 
+    @property
+    def denominator(self) -> int:
+        """N itself, ``den << shift``."""
+        return self.den << self.shift
+
     def _quotient(self, X: int) -> int:
         """floor((X - 1) / N), or 0 for X = 0: the digits of X/N, as bits."""
         return ((X - 1) >> self.shift) // self.den if X else 0
@@ -368,6 +386,22 @@ class RationalNode:
         """m such that the first ``n`` digits pin [m, m + 2] / 2**(n + 1):
         they spell the n-bit quotient of ``first * 2**n``, so m is twice it."""
         return 2 * self._quotient(self.first << n)
+
+    def decimals(self, places: int) -> tuple[int, str, int]:
+        """``(whole, text, R)``: ``first * 10**places`` is ``(whole * 10**places
+        + int(text)) * N + R`` with ``0 <= R < N`` and ``text`` exactly
+        ``places`` digits, by long division a block of digits at a time."""
+        N = self.denominator
+        whole, r = divmod(self.first, N)
+        blocks = []
+        for _ in range(places // _DECIMAL_BLOCK):
+            q, r = divmod(r * _DECIMAL_STEP, N)
+            blocks.append("%0*d" % (_DECIMAL_BLOCK, q))
+        rest = places % _DECIMAL_BLOCK
+        if rest:
+            q, r = divmod(r * 10 ** rest, N)
+            blocks.append("%0*d" % (rest, q))
+        return whole, "".join(blocks), r
 
     def fill(self, n: int):
         """Extend the buffer to at least ``n`` digits and by at least one

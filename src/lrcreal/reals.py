@@ -94,16 +94,43 @@ class ExactReal:
         boundaries); the error bound is the contract.
 
         After ``depth`` digits the interval is [m, m + 2] / 2**(depth + 1),
-        so the midpoint is (m + 1) / 2**(depth + 1) and rounding it
+        so the midpoint is mid = (m + 1) / 2**(depth + 1) and rounding it
         half-up to ``places`` decimals is one integer shift:
-        floor(mid * 10**places + 1/2) ==
-        ((m + 1) * 10**places + 2**depth) >> (depth + 1).
-        No ``Fraction`` is built, and a rational leaf finds m by one
-        division, with no digits.
+        units = floor(mid * scale + 1/2) ==
+        ((m + 1) * scale + 2**depth) >> (depth + 1), for scale = 10**places.
+        No ``Fraction`` is built.
+
+        A rational leaf v = first / N gives the same units by long
+        division (``RationalNode.decimals``), with no product as wide as
+        m * scale and no big quotient to turn into text. Let
+        first * scale = Q * N + R with 0 <= R < N, and
+        e = (m + 1) * N - first * 2**(depth + 1), which is
+        N * 2**(depth + 1) * (mid - v). Then
+        mid * scale + 1/2 = Q + t, with
+        t = R/N + 1/2 + e * scale / (N * 2**(depth + 1)).
+        v lies in the interval, so |e| <= N, and 2**depth > 4 * scale, so
+        the last term of t is below 1/8 in size and t lies in (3/8, 13/8).
+        So units = Q + [t >= 1], and t >= 1 exactly when
+        ((2R - N) << depth) + e * scale >= 0. That sum is never 0: m is even
+        for a rational leaf, so mid's denominator is 2**(depth + 1), more
+        twos than any (u + 1/2) / scale has. The +1 carries through the
+        trailing 9s of the text.
         """
         _count(places, "to_decimal: places", 1)
         scale = 10 ** places
         depth = scale.bit_length() + 2
+        node = self.node
+        if type(node) is RationalNode:
+            whole, text, R = node.decimals(places)
+            N = node.denominator
+            e = (node.left_end(depth) + 1) * N - (node.first << (depth + 1))
+            if ((2 * R - N) << depth) + e * scale >= 0:
+                kept = text.rstrip("9")
+                if kept:
+                    text = kept[:-1] + chr(ord(kept[-1]) + 1) + "0" * (places - len(kept))
+                else:
+                    whole, text = whole + 1, "0" * places
+            return "%d.%s" % (whole, text)
         m = self._left_end(depth)
         units = ((m + 1) * scale + (1 << depth)) >> (depth + 1)
         return "%d.%s" % (units // scale, _zero_padded(units % scale, places))
@@ -116,6 +143,13 @@ def _real(node) -> ExactReal:
     x = ExactReal.__new__(ExactReal)
     x.node = node
     return x
+
+
+def _node(x, what: str):
+    """The node of the real operand ``x``; anything but an ``ExactReal`` raises DomainError."""
+    if isinstance(x, ExactReal):
+        return x.node
+    raise DomainError("%s needs an ExactReal, got %r" % (what, x))
 
 
 def from_rational(r: Fraction) -> ExactReal:
@@ -133,7 +167,7 @@ def from_rational(r: Fraction) -> ExactReal:
 
 def average(x: ExactReal, y: ExactReal) -> ExactReal:
     """Midpoint of two reals; always lands back in [0, 1]."""
-    return _real(EngineNode(1, 2, 1, 2, 0, 1, x.node, y.node))
+    return _real(EngineNode(1, 2, 1, 2, 0, 1, _node(x, "average"), _node(y, "average")))
 
 
 def affine(
@@ -160,7 +194,7 @@ def affine(
     c, c_den = _ratio(cc, "affine")
     if a < 0 or b < 0 or c < 0:
         raise DomainError("affine coefficients must be non-negative")
-    node = EngineNode(a, a_den, b, b_den, c, c_den, x.node, y.node)
+    node = EngineNode(a, a_den, b, b_den, c, c_den, _node(x, "affine"), _node(y, "affine"))
     A, B, C, D = node.state  # (A + B + C)/D is ca + cb + cc
     if checked and A + B + C > D:
         raise DomainError(
@@ -181,9 +215,14 @@ class Indistinguishable:
     ``resolution`` is the interval width reached (2**-max_depth); the two
     values therefore differ by less than twice it. They may or may not be
     equal, and no finite refinement can promote this to equality.
+    ``resolution`` is an exact rational, checked as ``from_rational``
+    checks its value.
     """
 
     resolution: Fraction
+
+    def __post_init__(self):
+        _ratio(self.resolution, "Indistinguishable")
 
     def __repr__(self):
         """The dataclass's own text, at any size of ``resolution``."""
@@ -212,11 +251,21 @@ def compare(x: ExactReal, y: ExactReal, max_depth: int) -> str | Indistinguishab
     depth inside it where the intervals separated. While they overlap
     |g| <= 2, so the work is linear in the depth reached.
 
-    Two rational leaves run no digit loop: by that monotony it is enough
-    to test the gap ``ny.left_end(d) - nx.left_end(d)``, one division
-    each, at d = min(64, max_depth) and then at doubling d up to
-    ``max_depth``. Their buffers stay as they are, and the work is linear
-    in the depth that separates them, not in ``max_depth``.
+    Two rational leaves run no digit loop and leave their buffers alone.
+    By that monotony only depth ``max_depth`` matters, and the exact
+    difference of the two fractions x = first_x / N_x and
+    y = first_y / N_y bounds where it can separate. A rational leaf's
+    depth-n interval is [q, q + 1] / 2**n, and the value is at its left
+    end only if it is 0, so the intervals are apart at depth n only if
+    |y - x| * 2**n > 1, and surely once it is > 2. With
+    diff = first_y * N_x - first_x * N_y and
+    w = bitlen(N_x * N_y) - bitlen(|diff|), |y - x| lies in
+    (2**-(w + 1), 2**(1 - w)). So they are Indistinguishable when
+    diff == 0 or max_depth < w, ordered by the sign of diff when
+    max_depth >= w + 2, and otherwise by one ``left_end`` pair at
+    ``max_depth``, one division each. When ``max_depth`` is at most the
+    narrower denominator's bit length, that one pair is taken at once,
+    with no product of the denominators.
 
     Otherwise a short buffer of an engine or stream node is demanded to
     just one more depth, so a real computed by the engine is never
@@ -228,19 +277,23 @@ def compare(x: ExactReal, y: ExactReal, max_depth: int) -> str | Indistinguishab
     depth or to one block.
     """
     _count(max_depth, "compare: max_depth")
-    nx, ny = x.node, y.node
+    nx, ny = _node(x, "compare"), _node(y, "compare")
     x_ahead, y_ahead = type(nx) is RationalNode, type(ny) is RationalNode
     if x_ahead and y_ahead:
-        depth = min(64, max_depth)
-        while True:
-            gap = ny.left_end(depth) - nx.left_end(depth)
-            if gap > 2:
-                return LESS
-            if gap < -2:
-                return GREATER
-            if depth == max_depth:
+        N_x, N_y = nx.denominator, ny.denominator
+        if max_depth > min(N_x.bit_length(), N_y.bit_length()):
+            diff = ny.first * N_x - nx.first * N_y
+            w = (N_x * N_y).bit_length() - abs(diff).bit_length()
+            if not diff or max_depth < w:
                 return Indistinguishable(Fraction(1, 1 << max_depth))
-            depth = min(2 * depth, max_depth)
+            if max_depth >= w + 2:
+                return LESS if diff > 0 else GREATER
+        gap = ny.left_end(max_depth) - nx.left_end(max_depth)
+        if gap > 2:
+            return LESS
+        if gap < -2:
+            return GREATER
+        return Indistinguishable(Fraction(1, 1 << max_depth))
     gap = 0
     xs, ys = nx.out, ny.out
     depth = 0

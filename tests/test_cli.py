@@ -380,6 +380,17 @@ def test_main_in_process_exit_codes():
     assert main(["fib", "--count", "-1"]) == 2
 
 
+@pytest.mark.parametrize("format", ["digits", "interval", "decimal"])
+def test_eval_checks_decimals_under_every_format(format, capsys):
+    # --decimals is checked before the real is built, whatever the format,
+    # so a bad value is never silently ignored.
+    for bad in (0, -5, 2.5, True):
+        with pytest.raises(DomainError, match="decimals must be"):
+            eval_command(parse_expr("1/3"), 6, format, bad)
+    assert main(["eval", "1/3", "--format", format, "--decimals", "-5"]) == 2
+    assert capsys.readouterr().err == "error: decimals must be >= 1\n"
+
+
 def test_main_reports_out_of_memory_as_exit_2(capsys, monkeypatch):
     # A leaf that cannot hold the digits asked for: one error line and
     # exit 2, not a traceback and the syntax-error code. The patched fill

@@ -9,7 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import digits_then_constant, rand_fraction, rational_stream, refine_fold
@@ -17,7 +17,7 @@ from lrcreal import engine
 from lrcreal.digits import (
     UNIT, Digit, Interval, _left_end, _text_int, digits_to_str, emit_value, prefix_interval, refine,
 )
-from lrcreal.engine import _FILL_BLOCK, AffineData, RationalNode, StreamNode, demand, engine_states, state_value
+from lrcreal.engine import _DECIMAL_BLOCK, _FILL_BLOCK, AffineData, RationalNode, StreamNode, demand, engine_states, state_value
 from lrcreal.errors import DomainError
 from lrcreal.reals import (
     GREATER,
@@ -160,9 +160,13 @@ def test_rational_queries_leave_a_fresh_leaf_unfilled():
     assert not x.node.out and not y.node.out
 
 
-def test_rational_compare_asks_for_depths_up_to_twice_the_separating_one(monkeypatch):
-    # Two rational leaves are compared at depth 64 and then at doubling
-    # depths, so 1/3 against 2/3 never asks past 128 whatever max_depth.
+def test_rational_compare_divides_only_in_the_band_and_only_at_max_depth(monkeypatch):
+    # Two rational leaves are ordered by the exact difference of their
+    # fractions. 1/3 against 2/3, and 1/3 against 1/3 + 2**-1000, are
+    # decided at depth 10**9 with no division at all. For the second pair
+    # w = 1000, so only max_depth 1000 and 1001 fall in the band where the
+    # difference cannot tell; there one left_end pair is taken, at
+    # max_depth, and nowhere else.
     asked = []
     left_end = RationalNode.left_end
 
@@ -172,11 +176,15 @@ def test_rational_compare_asks_for_depths_up_to_twice_the_separating_one(monkeyp
 
     monkeypatch.setattr(RationalNode, "left_end", recording)
     assert compare(from_rational(Fraction(1, 3)), from_rational(Fraction(2, 3)), 10 ** 9) == LESS
-    assert asked and max(asked) <= 128
-    asked.clear()
+    assert asked == []
     x, y = Fraction(1, 3), Fraction(1, 3) + Fraction(1, 2 ** 1000)
     assert compare(from_rational(y), from_rational(x), 10 ** 9) == GREATER
-    assert max(asked) <= 2 * 1002
+    assert asked == []
+    xs, ys = long_division(1, 3, 1003), long_division(y.numerator, y.denominator, 1003)
+    for max_depth in (998, 999, 1000, 1001, 1002, 1003):
+        asked.clear()
+        assert compare(from_rational(y), from_rational(x), max_depth) == gap_loop(ys, xs, max_depth)[0]
+        assert asked == ([max_depth, max_depth] if max_depth in (1000, 1001) else [])
 
 
 def test_a_failed_fill_leaves_a_rational_leaf_as_it_was(monkeypatch):
@@ -279,6 +287,66 @@ def test_to_decimal_past_int_str_limit():
         whole, frac = x.to_decimal(places).split(".")
         assert len(frac) == places
         assert (int(whole), _text_int(frac)) == divmod(units, scale)
+
+
+#: Denominators of three shapes: small, about 2**70 wide, and an odd part
+#: times a power of two, which a rational leaf keeps split.
+denominators = st.one_of(
+    st.integers(1, 10 ** 6),
+    st.integers(2 ** 69, 2 ** 70),
+    st.builds(lambda d, k: (2 * d + 1) << k, st.integers(0, 499), st.integers(0, 400)),
+)
+unit_fractions = denominators.flatmap(lambda den: st.builds(Fraction, st.integers(0, den), st.just(den)))
+#: Places up to 3,000, and whole numbers of long-division blocks, one less and one more.
+places_counts = st.one_of(
+    st.integers(1, 3000),
+    st.sampled_from([b * _DECIMAL_BLOCK + s for b in range(1, 21) for s in (-1, 0, 1)]),
+)
+
+
+def midpoint_decimal(r, places):
+    """``to_decimal`` of the rational ``r`` by the shift formula, as the reference.
+
+    The depth's midpoint (m + 1) / 2**(d + 1) rounded half-up is
+    ((m + 1) * 10**p + 2**d) >> (d + 1), with m the left end of the
+    depth-d interval [q, q + 1] / 2**d: q = ceil(r * 2**d) - 1, or 0 for 0.
+    """
+    scale = 10 ** places
+    depth = scale.bit_length() + 2
+    num, den = r.numerator, r.denominator
+    m = 2 * ((num * 2 ** depth - 1) // den) if num else 0
+    units = ((m + 1) * scale + (1 << depth)) >> (depth + 1)
+    return "%d.%0*d" % (units // scale, places, units % scale)
+
+
+@st.composite
+def near_rounding_points(draw):
+    """``(value, places)``, the value within 2**-(depth + 1) of a point
+    (u + 1/2) / 10**places where half-up rounding turns; u ends in a run
+    of 9s, all of its digits at times, so the round-up carries."""
+    places = draw(places_counts)
+    scale = 10 ** places
+    depth = scale.bit_length() + 2
+    nines = draw(st.integers(0, places))
+    u = draw(st.integers(0, 10 ** (places - nines) - 1)) * 10 ** nines + 10 ** nines - 1
+    offset = Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 8)) << (depth + 1))
+    return Fraction(2 * u + 1, 2 * scale) + offset, places
+
+
+@given(st.one_of(st.tuples(unit_fractions, places_counts), near_rounding_points()))
+@example((Fraction(1, 8), 2))
+@example((Fraction(19, 20), 1))
+@example((Fraction(999999, 1000000), 3))
+@example((Fraction(0), 1))
+@example((Fraction(1), 301))
+@settings(deadline=None)
+def test_rational_decimals_by_long_division_round_the_midpoint(case):
+    # A rational leaf prints its decimals by long division and decides the
+    # last digit by the sign of one exact sum; the text must be the shift
+    # formula's, near every rounding point, through carries and across
+    # block boundaries.
+    r, places = case
+    assert from_rational(r).to_decimal(places) == midpoint_decimal(r, places)
 
 
 def test_average_examples():
@@ -413,6 +481,31 @@ def test_compare():
     lr = ExactReal(cons(Digit.L, constant(Digit.R)))
     rl = ExactReal(cons(Digit.R, constant(Digit.L)))
     assert compare(lr, rl, 20) == Indistinguishable(Fraction(1, 2 ** 20))
+
+
+@pytest.mark.parametrize("call", [
+    lambda bad, x: average(bad, x),
+    lambda bad, x: average(x, bad),
+    lambda bad, x: affine(0, 0, 0, bad, x),
+    lambda bad, x: affine(Fraction(1, 2), 0, 0, x, bad, checked=False),
+    lambda bad, x: compare(bad, x, 3),
+    lambda bad, x: compare(x, bad, 3),
+], ids=["average-x", "average-y", "affine-x", "affine-y", "compare-x", "compare-y"])
+def test_real_operands_that_are_not_reals_raise_domain_error(call):
+    # Each real operand is checked at the boundary, so a wrong type raises
+    # the typed error, not AttributeError ("no attribute 'node'").
+    x = from_rational(Fraction(1, 3))
+    for bad in (Fraction(1, 3), 0.5, 1, None, x.digits):
+        with pytest.raises(DomainError, match="needs an ExactReal, got "):
+            call(bad, x)
+
+
+def test_indistinguishable_checks_its_resolution():
+    # A resolution that is no exact rational is refused when built, not in repr.
+    for bad in (0.5, True, None, "1/2"):
+        with pytest.raises(DomainError, match="Indistinguishable needs an int or a rational"):
+            Indistinguishable(bad)
+    assert repr(Indistinguishable(Fraction(1, 4))) == "Indistinguishable(resolution=Fraction(1, 4))"
 
 
 def test_indistinguishable_repr_at_any_depth():
@@ -590,6 +683,45 @@ def test_deep_rational_compare_matches_gap_loop(fraction, d, k, below, max_depth
     assert compare(rx, ry, max_depth) == verdict
     # each buffer ends at most at twice the verdict depth, or at one block
     assert max(len(rx.node.out), len(ry.node.out)) <= max(2 * depth, _FILL_BLOCK)
+
+
+@st.composite
+def rational_pairs(draw):
+    """``(x, y, D)``: two rationals, equal, in the band 1 < |y - x| * 2**D <= 2
+    or apart at random, and a max depth D, at times 0 to 3."""
+    x = draw(unit_fractions)
+    D = draw(st.one_of(st.integers(0, 3), st.integers(0, 80), st.integers(0, 1200)))
+    kind = draw(st.sampled_from(("equal", "band", "any")))
+    if kind == "equal":
+        return x, x, D
+    if kind == "any":
+        return x, draw(unit_fractions), D
+    J = draw(st.integers(1, 2 ** 12))
+    delta = (1 + Fraction(draw(st.integers(1, J)), J)) / 2 ** D
+    y = x - delta if draw(st.booleans()) else x + delta
+    if not 0 <= y <= 1:
+        y = 2 * x - y
+    assume(0 <= y <= 1)
+    return x, y, D
+
+
+@given(rational_pairs())
+# In the band, at w + 1, apart by less than 2 * 2**-D and not separated:
+@example((Fraction(61625, 826288), Fraction(734214995701670851, 9844592945452285952), 37))
+# In the band, at w, separated:
+@example((Fraction(9, 20), Fraction(850403524583, 1889785610240), 37))
+@settings(deadline=None, max_examples=300)
+def test_rational_compare_by_exact_difference_matches_gap_loop(pair):
+    # Two rational leaves are ordered by the sign of their difference, by
+    # its bit length against max_depth, or by one left_end pair in the band
+    # between; each verdict, at D and on either side of it, must be the
+    # digit-at-a-time gap loop's over their long division.
+    x, y, D = pair
+    xs = long_division(x.numerator, x.denominator, D + 1)
+    ys = long_division(y.numerator, y.denominator, D + 1)
+    for max_depth in range(max(D - 1, 0), D + 2):
+        assert compare(from_rational(x), from_rational(y), max_depth) == gap_loop(xs, ys, max_depth)[0]
+        assert compare(from_rational(y), from_rational(x), max_depth) == gap_loop(ys, xs, max_depth)[0]
 
 
 @pytest.mark.parametrize("x", [Fraction(1, 3), Fraction(2, 7), Fraction(5, 11)])
