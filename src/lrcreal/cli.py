@@ -13,9 +13,9 @@ ones too); ``str.isspace`` whitespace may stand between any other two
 tokens, and a name ends where ``str.isalpha`` does.
 
 Rational literals standing for numbers must lie in [0, 1]. ``add`` is the
-unchecked combination 1*x + 1*y + 0; every leaf is a rational, so each
-node's exact value is known, and an ``add`` whose value exceeds 1 is
-rejected. ``affine`` runs in checked mode (coefficient sum at most 1).
+unchecked combination 1*x + 1*y + 0; every leaf is a rational, so every
+real built carries its exact ``value``, and an ``add`` whose sum exceeds
+1 is rejected. ``affine`` runs in checked mode (coefficient sum at most 1).
 
 Exit codes: 0 success, 1 syntax error, 2 domain error or out of memory.
 Parsing, building and evaluating use explicit stacks, so nesting depth is
@@ -207,51 +207,51 @@ def format_expr(e: Expr) -> str:
 def build_real(e: Expr) -> ExactReal:
     """Evaluate bottom-up into an ExactReal.
 
-    Every leaf is a rational, so the same pass computes each node's exact
-    value. ``add`` is the one unchecked combination: it raises DomainError
-    exactly when its value exceeds 1, at any depth. The pass is a
-    post-order walk on an explicit stack, so nesting depth is not bounded
-    by Python's.
+    ``add`` is the one unchecked combination. Every leaf is a rational, so
+    both operands of an ``add`` have their exact ``value``, and it raises
+    DomainError exactly when their sum exceeds 1, at any depth. The build
+    is a post-order walk on an explicit stack, so nesting depth is not
+    bounded by Python's.
     """
-    built = []  # (real, exact value) of each finished operand
+    built = []  # the real of each finished operand
     todo = [(e, False)]
     while todo:
         node, operands_built = todo.pop()
         if isinstance(node, RatLit):
-            built.append((from_rational(node.value), node.value))
+            built.append(from_rational(node.value))
             continue
         if not isinstance(node, (Avg, Add, Affine)):
             raise TypeError("not an Expr: %r" % (node,))
         if not operands_built:
             todo += [(node, True), (node.right, False), (node.left, False)]
             continue
-        right, rv = built.pop()
-        left, lv = built.pop()
+        right = built.pop()
+        left = built.pop()
         if isinstance(node, Avg):
-            built.append((average(left, right), (lv + rv) / 2))
+            built.append(average(left, right))
         elif isinstance(node, Add):
-            value = lv + rv
+            value = left.value + right.value
             if value > 1:
                 raise DomainError("add: sum %s exceeds 1" % _fraction_text(value))
-            built.append((affine(1, 1, 0, left, right, checked=False), value))
+            built.append(affine(1, 1, 0, left, right, checked=False))
         else:
-            built.append((affine(node.ca, node.cb, node.cc, left, right), node.ca * lv + node.cb * rv + node.cc))
-    return built[0][0]
+            built.append(affine(node.ca, node.cb, node.cc, left, right))
+    return built[0]
 
 
 def eval_command(e: Expr, digits: int, format: str = "digits", decimals: int = 12) -> str:
-    """One output line for the evaluated expression; ``digits`` and
-    ``decimals`` are checked under every format, before anything is built."""
+    """One output line for the evaluated expression; ``digits``,
+    ``decimals`` and ``format`` are all checked before anything is built."""
     _count(digits, "digits")
     _count(decimals, "decimals", 1)
+    if format not in ("digits", "interval", "decimal"):
+        raise ValueError("unknown format: %r" % format)
     x = build_real(e)
     if format == "digits":
         return x.digit_string(digits)
     if format == "interval":
         return str(x.to_interval(digits))
-    if format == "decimal":
-        return x.to_decimal(decimals)
-    raise ValueError("unknown format: %r" % format)
+    return x.to_decimal(decimals)
 
 
 #: The largest denominator of a ``selftest`` coefficient.

@@ -57,7 +57,8 @@ class Digit(IntEnum):
 
 @dataclass(frozen=True)
 class Interval:
-    """Closed interval [lo, hi] with exact rational endpoints; any other endpoint raises DomainError."""
+    """Closed interval [lo, hi] with exact rational endpoints; any other
+    endpoint, or a ``lo`` above ``hi``, raises DomainError."""
 
     lo: Fraction
     hi: Fraction
@@ -66,7 +67,7 @@ class Interval:
         _ratio(self.lo, "Interval")
         _ratio(self.hi, "Interval")
         if self.lo > self.hi:
-            raise ValueError(
+            raise DomainError(
                 "interval endpoints out of order: %s > %s" % (_fraction_text(self.lo), _fraction_text(self.hi))
             )
 

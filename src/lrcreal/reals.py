@@ -7,6 +7,10 @@ index, demanding only as many as it needs. Every query is a finite
 refinement: asking for depth n yields an interval of width exactly 2**-n
 guaranteed to contain the value. Nothing here can decide equality of two
 reals; ``compare`` bounds its search and says so when it gives up.
+
+A real built from rationals also carries its exact value, and this is
+the one module that computes it: an unchecked ``affine`` refuses a known
+value above 1.
 """
 
 from dataclasses import dataclass
@@ -43,12 +47,19 @@ class ExactReal:
     the constructor used, not something checkable from the digits.
     ``ExactReal(stream)`` reads an arbitrary digit ``Stream``; ``digits``
     is a ``Stream`` view of the real's digits.
+
+    ``value`` is the real's exact value as a ``Fraction`` when it is
+    known: for a real that ``from_rational`` built, and for one that
+    ``average`` or ``affine`` built from two reals that have a value. It
+    is None for ``ExactReal(stream)`` and for anything built over such a
+    real, so ``ExactReal(x.digits)`` is ``x``'s node with no value.
     """
 
-    __slots__ = ("node",)
+    __slots__ = ("node", "value")
 
     def __init__(self, digits: Stream):
         self.node = stream_node(digits)
+        self.value = None
 
     @property
     def digits(self) -> Stream:
@@ -139,9 +150,10 @@ class ExactReal:
         return "ExactReal(%s...)" % self.digit_string(8)
 
 
-def _real(node) -> ExactReal:
+def _real(node, value) -> ExactReal:
     x = ExactReal.__new__(ExactReal)
     x.node = node
+    x.value = value
     return x
 
 
@@ -158,16 +170,41 @@ def from_rational(r: Fraction) -> ExactReal:
     ``r`` is an int or a ``numbers.Rational`` such as ``Fraction``;
     anything else, ``bool`` included, raises DomainError. Its digits come
     by long division (see ``RationalNode``); only L and R digits appear.
+    Its ``value`` is ``r`` itself when ``r`` is a ``Fraction``.
     """
     num, den = _ratio(r, "from_rational")
     if num < 0 or num > den:
         raise DomainError("from_rational needs a value in [0, 1], got %s" % _fraction_text(Fraction(num, den)))
-    return _real(RationalNode(num, den))
+    return _real(RationalNode(num, den), r if r.__class__ is Fraction else Fraction(num, den))
+
+
+def _combined(node: EngineNode, x: ExactReal, y: ExactReal, checked: bool) -> ExactReal:
+    """The real of the engine ``node`` over ``x`` and ``y``, with its exact value.
+
+    ``node.state`` is the reduced start state (A, B, C, D): the real is
+    (A*x + B*y + C) / D, and (A + B + C) / D is the coefficient sum, at
+    most 1 in ``checked`` mode. When ``x`` and ``y`` both have a value,
+    so does the real, and a value above 1 raises DomainError. Checked
+    mode never gets there: its operands lie in [0, 1].
+    """
+    A, B, C, D = node.state
+    if checked and A + B + C > D:
+        raise DomainError(
+            "checked affine needs ca + cb + cc <= 1, got %s" % _fraction_text(Fraction(A + B + C, D))
+        )
+    xv, yv = x.value, y.value
+    if xv is None or yv is None:
+        return _real(node, None)
+    xn, xd, yn, yd = xv.numerator, xv.denominator, yv.numerator, yv.denominator
+    value = Fraction(A * xn * yd + B * yn * xd + C * xd * yd, D * xd * yd)
+    if value > 1:
+        raise DomainError("unchecked affine needs a value <= 1, got %s" % _fraction_text(value))
+    return _real(node, value)
 
 
 def average(x: ExactReal, y: ExactReal) -> ExactReal:
     """Midpoint of two reals; always lands back in [0, 1]."""
-    return _real(EngineNode(1, 2, 1, 2, 0, 1, _node(x, "average"), _node(y, "average")))
+    return _combined(EngineNode(1, 2, 1, 2, 0, 1, _node(x, "average"), _node(y, "average")), x, y, True)
 
 
 def affine(
@@ -184,10 +221,11 @@ def affine(
     for ``from_rational``. In checked mode, ca + cb + cc <= 1 is
     required, which guarantees the result stays in [0, 1] whatever the
     inputs. Unchecked mode drops that guard, and its digits are sound
-    only when the true value is at most 1; nothing here can check that.
-    Above 1 the engine emits R forever, and its coefficients grow by one
-    bit per digit: for 3/4 + 3/4 they are 10, 20 and 40 bits wide at
-    digits 10, 20 and 40.
+    only when the true value is at most 1. When ``x`` and ``y`` both
+    have a ``value``, a value above 1 raises DomainError. Over a real
+    with no value nothing here can check it: above 1 the engine emits R
+    forever, and its coefficients grow by one bit per digit: for
+    3/4 + 3/4 they are 10, 20 and 40 bits wide at digits 10, 20 and 40.
     """
     a, a_den = _ratio(ca, "affine")
     b, b_den = _ratio(cb, "affine")
@@ -195,12 +233,7 @@ def affine(
     if a < 0 or b < 0 or c < 0:
         raise DomainError("affine coefficients must be non-negative")
     node = EngineNode(a, a_den, b, b_den, c, c_den, _node(x, "affine"), _node(y, "affine"))
-    A, B, C, D = node.state  # (A + B + C)/D is ca + cb + cc
-    if checked and A + B + C > D:
-        raise DomainError(
-            "checked affine needs ca + cb + cc <= 1, got %s" % _fraction_text(Fraction(A + B + C, D))
-        )
-    return _real(node)
+    return _combined(node, x, y, checked)
 
 
 #: ``compare`` verdicts: strict orderings, or a bound on how close they are.

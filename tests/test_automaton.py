@@ -255,7 +255,8 @@ def test_automaton_holds_at_most_the_cap():
 def test_unchecked_add_above_1_goes_on_in_private_automata():
     # 3/4 + 3/4 of 1 is 3/2: T stays above 1 and the coefficients grow, so
     # no state repeats, and 600 digits fill one automaton after another.
-    one = from_rational(1)
+    # The operand is 1's node with no value, which affine cannot refuse.
+    one = ExactReal(from_rational(1).digits)
     x = affine(Fraction(3, 4), Fraction(3, 4), Fraction(0), one, one, checked=False)
     rows, _ = reference(AffineData(3, 4, 3, 4, 0, 1, one.digits, one.digits), True, 600)
     digits = bytes(d for d, _, _ in rows)

@@ -211,6 +211,8 @@ def test_eval_command_examples():
         eval_command(parse_expr("1/3"), -1, "digits")
     with pytest.raises(ValueError, match="unknown format: 'hex'"):
         eval_command(parse_expr("1/3"), 6, "hex")
+    with pytest.raises(ValueError, match="unknown format: 'hex'"):
+        eval_command(parse_expr("add(1, 1)"), 6, "hex")
 
 
 def test_add_overflow_is_domain_error():
@@ -289,6 +291,7 @@ def test_eval_command_encloses_exact_value(e, n, places):
             with pytest.raises(DomainError):
                 eval_command(e, n, fmt, places)
         return
+    assert build_real(e).value == value
     out = eval_command(e, n, "digits")
     assert len(out) == n
     assert prefix_interval(str_to_digits(out)).contains(value)

@@ -151,7 +151,7 @@ def test_interval_repr_at_any_depth():
     for endpoint, expected in ((lo, deep.lo), (hi, deep.hi)):
         num, den = endpoint[len("Fraction("):-1].split(", ")
         assert Fraction(_text_int(num), _text_int(den)) == expected
-    with pytest.raises(ValueError, match="out of order"):
+    with pytest.raises(DomainError, match="out of order"):
         Interval(deep.hi, deep.lo)
 
 

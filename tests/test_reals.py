@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import digits_then_constant, rand_fraction, rational_stream, refine_fold
+from helpers import digits_then_constant, prefixed_stream, rand_fraction, rational_stream, refine_fold
 from lrcreal import engine
 from lrcreal.digits import (
     UNIT, Digit, Interval, _left_end, _text_int, digits_to_str, emit_value, prefix_interval, refine,
@@ -377,6 +377,99 @@ def test_affine_unchecked_sum():
         checked=False,
     )
     assert z.to_interval(40).contains(Fraction(1, 2))
+
+
+def test_unchecked_affine_refuses_a_known_value_above_1():
+    three_quarters = from_rational(Fraction(3, 4))
+    with pytest.raises(DomainError, match="unchecked affine needs a value <= 1, got 3/2"):
+        affine(1, 1, 0, three_quarters, three_quarters, checked=False)
+    # The same node with no value: nothing can check it, and R comes forever.
+    blind = ExactReal(three_quarters.digits)
+    assert blind.node is three_quarters.node and blind.value is None
+    assert affine(1, 1, 0, blind, blind, checked=False).digit_string(8) == "RRRRRRRR"
+    assert type(from_rational(1).value) is Fraction
+
+
+@st.composite
+def valued_graphs(draw, depth):
+    """A recipe for a real ``depth`` nodes deep along one spine.
+
+    A leaf is a rational, the digit view of one, or a stream of a few
+    digits before a rational tail; only the first has a value. A node is
+    ``("avg" | "affine" | "unchecked", ca, cb, cc, left, right)``: an
+    average, a checked affine, or an unchecked one whose coefficients sum
+    to at most 2, so that its value may exceed 1.
+    """
+    if depth == 0:
+        kind = draw(st.sampled_from(("rational", "view", "stream")))
+        return (kind, draw(st.lists(digits, max_size=4)) if kind == "stream" else [], small_fraction(draw))
+    kind = draw(st.sampled_from(("avg", "affine", "unchecked")))
+    x = draw(valued_graphs(depth - 1))
+    y = draw(valued_graphs(draw(st.integers(0, min(1, depth - 1)))))
+    if draw(st.booleans()):
+        x, y = y, x
+    if kind == "avg":
+        return (kind, Fraction(1, 2), Fraction(1, 2), Fraction(0), x, y)
+    bound = Fraction(1 if kind == "affine" else 2)
+    ca = small_fraction(draw, bound)
+    cb = small_fraction(draw, bound - ca)
+    return (kind, ca, cb, small_fraction(draw, bound - ca - cb), x, y)
+
+
+def build_valued(recipe, n):
+    """``(real, exact value, every leaf a rational, sound)`` for a ``valued_graphs`` recipe.
+
+    Checks the value rule at each node on the way. An unchecked affine
+    over two valued reals must refuse a value above 1; it is then built
+    over the same nodes with no value, where it must not. ``sound`` says
+    that no node's value, this one's included, exceeds 1, so the real's
+    depth-``n`` interval must enclose its value.
+    """
+    kind = recipe[0]
+    if kind in ("rational", "view", "stream"):
+        _, prefix, value = recipe
+        if kind == "rational":
+            x = from_rational(value)
+        elif kind == "view":
+            x = ExactReal(from_rational(value).digits)
+        else:
+            stream, value = prefixed_stream(prefix, value)
+            x = ExactReal(stream)
+        rational, sound = kind == "rational", True
+    else:
+        _, ca, cb, cc, left, right = recipe
+        (xr, xv, x_rational, x_sound), (yr, yv, y_rational, y_sound) = build_valued(left, n), build_valued(right, n)
+        value = ca * xv + cb * yv + cc
+        rational, sound = x_rational and y_rational, x_sound and y_sound and value <= 1
+        if kind == "avg":
+            x = average(xr, yr)
+        elif kind == "affine":
+            x = affine(ca, cb, cc, xr, yr)
+        elif rational and value > 1:
+            with pytest.raises(DomainError):
+                affine(ca, cb, cc, xr, yr, checked=False)
+            x = affine(ca, cb, cc, ExactReal(xr.digits), ExactReal(yr.digits), checked=False)
+            rational = False
+        else:
+            x = affine(ca, cb, cc, xr, yr, checked=False)
+    if rational:
+        assert x.value == value and type(x.value) is Fraction
+    else:
+        assert x.value is None
+    if sound:
+        assert x.to_interval(n).contains(value)
+    return x, value, rational, sound
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(0, 4).flatmap(valued_graphs), st.integers(0, 64))
+# Two values of exactly 1, which are in range.
+@example(("unchecked", 1, 1, 0, ("rational", [], Fraction(1, 2)), ("rational", [], Fraction(1, 2))), 8)
+@example(("unchecked", 1, 1, Fraction(1, 9), ("rational", [], Fraction(4, 9)), ("rational", [], Fraction(4, 9))), 8)
+def test_a_real_built_from_rationals_carries_its_exact_value(recipe, n):
+    # The value is known exactly when every leaf is a rational, and an
+    # unchecked affine refuses one above 1 only when it is known.
+    build_valued(recipe, n)
 
 
 def test_affine_guards():
@@ -883,7 +976,10 @@ def build_both(recipe, engines):
     if kind == "avg":
         return combine(half, half, zero, build_both(recipe[1], engines), build_both(recipe[2], engines))
     if kind == "add":
-        return combine(one, one, zero, build_both(recipe[1], engines), build_both(recipe[2], engines), False)
+        # A sum may exceed 1 here: operands with no value keep affine from
+        # refusing it, over the same nodes.
+        (xr, xs), (yr, ys) = build_both(recipe[1], engines), build_both(recipe[2], engines)
+        return combine(one, one, zero, (ExactReal(xr.digits), xs), (ExactReal(yr.digits), ys), False)
     _, ca, cb, cc, x, y = recipe
     x, y = build_both(x, engines), build_both(y, engines)
     if kind == "share":
