@@ -29,7 +29,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .digits import _BLOCK, _fraction_text, _int_text, _text_int
+from .digits import _fraction_text, _int_text, _text_int
 from .errors import DomainError, ExprParseError, _count
 from .reals import ExactReal, affine, average, from_rational
 from .streams import fib_stream, increasing_to_depth, local_fib_to_depth, take
@@ -90,20 +90,15 @@ def _fail(text: str, pos: int, expected: str):
     raise ExprParseError(pos + 1, expected, repr(text[pos]) if pos < len(text) else "end of input")
 
 
-def _int(sign: str, digits: str) -> int:
-    value = int(digits) if len(digits) < _BLOCK else _text_int(digits)  # int() refuses long runs
-    return -value if sign else value
-
-
 def _rational(m):
     """Numerator and denominator of the rational ``m`` matched."""
     sign, digits, den_sign, den_digits = m.group(2, 3, 4, 5)
     if den_digits == "":
         _fail(m.string, m.end(), "an integer")
-    num = _int(sign, digits)
+    num = _text_int(sign + digits)
     if den_digits is None:
         return num, 1
-    den = _int(den_sign, den_digits)
+    den = _text_int(den_sign + den_digits)
     if den == 0:
         raise DomainError("rational with zero denominator: %s/0" % _fraction_text(Fraction(num)))
     return num, den

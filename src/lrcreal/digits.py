@@ -14,10 +14,16 @@ are that map written for an interval and for a value. ``_ratio`` is the
 one check of an exact rational: an ``Interval`` endpoint, the value
 ``emit_value`` maps, and the rationals that ``reals`` and the engine's
 ``state_value`` take.
+
+``_int_text`` and ``_text_int`` are the one conversion of an int to and
+from decimal text, at any size and under any ``sys.set_int_max_str_digits``
+setting, and ``_fraction_text`` and ``_fraction_repr`` print a ``Fraction``
+with them.
 """
 
 from collections.abc import Iterable
 from dataclasses import dataclass
+from decimal import Decimal
 from enum import IntEnum
 from fractions import Fraction
 from numbers import Rational
@@ -97,64 +103,37 @@ class Interval:
         return "Interval(lo=%s, hi=%s)" % (_fraction_repr(self.lo), _fraction_repr(self.hi))
 
 
-#: Decimal digits per block in ``_zero_padded`` and ``_text_int``: below the
-#: smallest limit ``sys.set_int_max_str_digits`` accepts (640), so every
-#: setting converts a block.
-_BLOCK = 600
-
-
-def _zero_padded(n: int, width: int) -> str:
-    """``n`` (below 10**width) as exactly ``width`` decimal digits.
-
-    Python refuses to convert an int of more than a few thousand decimal
-    digits to text, so the low digits are split off in blocks of _BLOCK.
-    """
-    blocks = []
-    while width > _BLOCK:
-        n, low = divmod(n, 10 ** _BLOCK)
-        blocks.append("%0*d" % (_BLOCK, low))
-        width -= _BLOCK
-    return "%0*d" % (width, n) + "".join(reversed(blocks))
-
-
 def _int_text(n: int) -> str:
-    """``str(n)`` for ``n >= 0`` of any size.
-
-    A b-bit integer has at most b * 0.30103... + 1 decimal digits, so
-    padding to b * 31 // 100 + 1 digits and dropping the leading zeros
-    renders it exactly.
-    """
-    return _zero_padded(n, n.bit_length() * 31 // 100 + 1).lstrip("0") or "0"
+    """``str(n)`` for an int of any size: ``Decimal`` converts it exactly,
+    with none of the digit limit that Python sets on ``str`` of an int."""
+    return str(Decimal(n))
 
 
 def _text_int(text: str) -> int:
-    """``int(text)`` for a run of decimal digits of any length.
+    """``int(text)`` for a signed run of decimal digits of any length.
 
-    Python refuses to read more than a few thousand decimal digits at
-    once, so the run is read in blocks of _BLOCK.
+    ``int`` reads a run shorter than 640 characters, the lowest digit
+    limit ``sys.set_int_max_str_digits`` accepts, under every setting; a
+    longer run goes through ``Decimal``, which reads it exactly.
     """
-    value = 0
-    for i in range(0, len(text), _BLOCK):
-        block = text[i:i + _BLOCK]
-        value = value * 10 ** len(block) + int(block)
-    return value
+    return int(text) if len(text) < 640 else int(Decimal(text))
 
 
 def _fraction_text(r: Fraction) -> str:
     """``str(r)``: ``n`` for an integer, else ``n/d``, at any size."""
-    text = "-" * (r < 0) + _int_text(abs(r.numerator))
+    text = _int_text(r.numerator)
     return text if r.denominator == 1 else text + "/" + _int_text(r.denominator)
 
 
 def _fraction_repr(r: Fraction) -> str:
     """``repr(r)``, at any size."""
-    return "Fraction(%s%s, %s)" % ("-" * (r < 0), _int_text(abs(r.numerator)), _int_text(r.denominator))
+    return "Fraction(%s, %s)" % (_int_text(r.numerator), _int_text(r.denominator))
 
 
 #: ``bytes.translate`` tables from a weight byte to the high and the low
-#: bit of the weight, as b"0"/b"1", and to the digit's letter. Any other
-#: byte becomes 0xff, which ``int(..., 2)`` and ASCII decoding reject, so a
-#: stray byte in a buffer raises ValueError instead of giving a wrong answer.
+#: bit of the weight, as b"0"/b"1", and to the digit's letter. ``_weights``
+#: rejects any other byte first; the tables still map it to 0xff, which
+#: ``int(..., 2)`` and ASCII decoding reject, so no byte gives a wrong answer.
 _HIGH_BIT = b"001".ljust(256, b"\xff")
 _LOW_BIT = b"010".ljust(256, b"\xff")
 _LETTER = b"LCR".ljust(256, b"\xff")
@@ -190,11 +169,16 @@ def refine(iv: Interval, d: Digit) -> Interval:
 
 
 def _weights(ds: Iterable[Digit]) -> bytes:
-    """The digits ``ds`` as bytes of their weights; a node buffer goes through as it is.
+    """The digits ``ds`` as bytes of their weights; a buffer goes through as it is.
 
-    Any other iterable is checked digit by digit by ``_weight``.
+    A ``bytes`` or ``bytearray`` is checked by one ``translate`` that
+    deletes the weights 0, 1 and 2: ``_weight`` rejects the first byte
+    left, if any. Any other iterable is checked digit by digit by ``_weight``.
     """
     if isinstance(ds, (bytes, bytearray)):
+        stray = ds.translate(None, b"\0\1\2")
+        if stray:
+            _weight(stray[0])
         return ds
     return bytes(map(_weight, ds))
 

@@ -48,8 +48,7 @@ coefficients sum to at most 1. No engine node produces a digit that is
 not asked for; a rational leaf, which needs no engine, fills a block of
 digits with one big-integer division and so runs ahead of demand by less
 than one block, and answers an interval query at any depth by one
-division, and a decimal query by long division in base 10, without
-filling at all (``RationalNode.left_end`` and ``decimals``).
+division, without filling at all (``RationalNode.left_end``).
 A node's buffer is the one memo of its digits: a ``NodeStream`` is a
 ``Stream`` view of it that keeps only the node and an index, so reading
 a real's digits as a stream memoizes nothing a second time.
@@ -327,12 +326,6 @@ _FILL_BLOCK = 64
 #: A quotient bit, as text, to a weight: long division emits L for 0 and R for 1.
 _BIT_WEIGHT = bytes.maketrans(b"01", bytes((_L, _R)))
 
-#: Decimal digits a rational leaf's ``decimals`` divides out per step.
-#: Blocks of 100 to 200 digits cost about the same; each block's text is
-#: short enough that ``%d`` renders it in time linear in the block.
-_DECIMAL_BLOCK = 150
-_DECIMAL_STEP = 10 ** _DECIMAL_BLOCK
-
 
 class RationalNode:
     """The digits of a rational ``num/N`` in [0, 1], by long division.
@@ -349,6 +342,8 @@ class RationalNode:
     less than one block. ``left_end(n)`` doubles ``_quotient(first * 2**n)``
     of the start numerator ``first``; it reads only ``first``, ``den`` and
     ``shift``, which never change, so it needs no buffer and no lock.
+    ``reals`` answers decimal and ``compare`` queries from ``first`` and
+    ``denominator`` alike.
 
     N is kept split as ``den << shift`` with ``den`` odd, and the quotient
     is ``((X - 1) >> shift) // den``: floor(Y / (d * 2**e)) equals
@@ -357,12 +352,6 @@ class RationalNode:
     mostly a power of two then costs a shift, linear in k + e, instead of
     a k-by-e division. A failed fill leaves the leaf as it was: ``num``
     moves on only once the block's digits are in the buffer.
-
-    ``decimals(p)`` is the same unfold in base 10: the whole part and the
-    first p decimal digits of ``first / N``, ``_DECIMAL_BLOCK`` digits per
-    division, and the remainder left after them. Like ``left_end`` it
-    reads only the fixed fields, so ``ExactReal.to_decimal`` and
-    ``compare`` answer a rational leaf from its fraction, with no buffer.
     """
 
     __slots__ = ("out", "num", "first", "den", "shift")
@@ -386,22 +375,6 @@ class RationalNode:
         """m such that the first ``n`` digits pin [m, m + 2] / 2**(n + 1):
         they spell the n-bit quotient of ``first * 2**n``, so m is twice it."""
         return 2 * self._quotient(self.first << n)
-
-    def decimals(self, places: int) -> tuple[int, str, int]:
-        """``(whole, text, R)``: ``first * 10**places`` is ``(whole * 10**places
-        + int(text)) * N + R`` with ``0 <= R < N`` and ``text`` exactly
-        ``places`` digits, by long division a block of digits at a time."""
-        N = self.denominator
-        whole, r = divmod(self.first, N)
-        blocks = []
-        for _ in range(places // _DECIMAL_BLOCK):
-            q, r = divmod(r * _DECIMAL_STEP, N)
-            blocks.append("%0*d" % (_DECIMAL_BLOCK, q))
-        rest = places % _DECIMAL_BLOCK
-        if rest:
-            q, r = divmod(r * 10 ** rest, N)
-            blocks.append("%0*d" % (rest, q))
-        return whole, "".join(blocks), r
 
     def fill(self, n: int):
         """Extend the buffer to at least ``n`` digits and by at least one

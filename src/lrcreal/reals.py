@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .digits import (
-    Interval, _dyadic_interval, _fraction_repr, _fraction_text, _left_end, _ratio, _zero_padded, digits_to_str,
+    Interval, _dyadic_interval, _fraction_repr, _fraction_text, _left_end, _ratio, digits_to_str,
 )
 # No query here refines Fraction intervals or folds a digit prefix any
 # more, but the benchmark's tracer (bench/spans.py) wraps the
@@ -37,6 +37,12 @@ __all__ = [
     "affine",
     "compare",
 ]
+
+#: Decimal digits ``ExactReal.to_decimal`` divides out per step. Blocks of
+#: 100 to 200 digits cost about the same; each block's text is short
+#: enough that ``%d`` renders it in time linear in the block.
+_DECIMAL_BLOCK = 150
+_DECIMAL_STEP = 10 ** _DECIMAL_BLOCK
 
 
 class ExactReal:
@@ -105,46 +111,54 @@ class ExactReal:
         boundaries); the error bound is the contract.
 
         After ``depth`` digits the interval is [m, m + 2] / 2**(depth + 1),
-        so the midpoint is mid = (m + 1) / 2**(depth + 1) and rounding it
-        half-up to ``places`` decimals is one integer shift:
-        units = floor(mid * scale + 1/2) ==
-        ((m + 1) * scale + 2**depth) >> (depth + 1), for scale = 10**places.
-        No ``Fraction`` is built.
-
-        A rational leaf v = first / N gives the same units by long
-        division (``RationalNode.decimals``), with no product as wide as
-        m * scale and no big quotient to turn into text. Let
-        first * scale = Q * N + R with 0 <= R < N, and
-        e = (m + 1) * N - first * 2**(depth + 1), which is
-        N * 2**(depth + 1) * (mid - v). Then
+        so the midpoint is mid = (m + 1) / 2**(depth + 1), and the text is
+        units = floor(mid * scale + 1/2) for scale = 10**places, by one
+        renderer: long division of num / N, ``_DECIMAL_BLOCK`` digits per
+        step, one rounding test and one carry through the trailing 9s.
+        Let num * scale = Q * N + R with 0 <= R < N, and let
+        e = (m + 1) * N - num * 2**(depth + 1), which is
+        N * 2**(depth + 1) * (mid - num / N). Then
         mid * scale + 1/2 = Q + t, with
         t = R/N + 1/2 + e * scale / (N * 2**(depth + 1)).
-        v lies in the interval, so |e| <= N, and 2**depth > 4 * scale, so
-        the last term of t is below 1/8 in size and t lies in (3/8, 13/8).
         So units = Q + [t >= 1], and t >= 1 exactly when
-        ((2R - N) << depth) + e * scale >= 0. That sum is never 0: m is even
-        for a rational leaf, so mid's denominator is 2**(depth + 1), more
-        twos than any (u + 1/2) / scale has. The +1 carries through the
-        trailing 9s of the text.
+        ((2R - N) << depth) + e * scale >= 0. No ``Fraction`` is built.
+
+        Any real but a rational leaf divides mid itself:
+        (num, N, e) = (m + 1, 2**(depth + 1), 0), so the test is 2R >= N.
+
+        A rational leaf v = first / N divides v instead, with no product
+        as wide as m * scale: (num, N, e) = (first, N, e). v lies in the
+        interval, so |e| <= N, and 2**depth > 4 * scale, so the last term
+        of t is below 1/8 in size and t lies in (3/8, 13/8). The sum is
+        never 0 there: m is even for a rational leaf, so mid's denominator
+        is 2**(depth + 1), more twos than any (u + 1/2) / scale has.
         """
         _count(places, "to_decimal: places", 1)
         scale = 10 ** places
         depth = scale.bit_length() + 2
         node = self.node
         if type(node) is RationalNode:
-            whole, text, R = node.decimals(places)
-            N = node.denominator
-            e = (node.left_end(depth) + 1) * N - (node.first << (depth + 1))
-            if ((2 * R - N) << depth) + e * scale >= 0:
-                kept = text.rstrip("9")
-                if kept:
-                    text = kept[:-1] + chr(ord(kept[-1]) + 1) + "0" * (places - len(kept))
-                else:
-                    whole, text = whole + 1, "0" * places
-            return "%d.%s" % (whole, text)
-        m = self._left_end(depth)
-        units = ((m + 1) * scale + (1 << depth)) >> (depth + 1)
-        return "%d.%s" % (units // scale, _zero_padded(units % scale, places))
+            num, N = node.first, node.denominator
+            e = (node.left_end(depth) + 1) * N - (num << (depth + 1))
+        else:
+            num, N, e = self._left_end(depth) + 1, 2 << depth, 0
+        whole, R = divmod(num, N)
+        blocks = []
+        for _ in range(places // _DECIMAL_BLOCK):
+            q, R = divmod(R * _DECIMAL_STEP, N)
+            blocks.append("%0*d" % (_DECIMAL_BLOCK, q))
+        rest = places % _DECIMAL_BLOCK
+        if rest:
+            q, R = divmod(R * 10 ** rest, N)
+            blocks.append("%0*d" % (rest, q))
+        text = "".join(blocks)
+        if ((2 * R - N) << depth) + e * scale >= 0:
+            kept = text.rstrip("9")
+            if kept:
+                text = kept[:-1] + chr(ord(kept[-1]) + 1) + "0" * (places - len(kept))
+            else:
+                whole, text = whole + 1, "0" * places
+        return "%d.%s" % (whole, text)
 
     def __repr__(self):
         return "ExactReal(%s...)" % self.digit_string(8)

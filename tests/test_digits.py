@@ -1,4 +1,6 @@
+import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,7 @@ from lrcreal.digits import (
     Digit,
     Interval,
     UNIT,
+    _int_text,
     _text_int,
     bit_to_digit,
     bits_to_value,
@@ -20,8 +23,9 @@ from lrcreal.digits import (
     represents_to_depth,
     str_to_digits,
 )
+from lrcreal.cli import RatLit, format_expr, parse_expr
 from lrcreal.errors import DomainError
-from lrcreal.reals import ExactReal, from_rational
+from lrcreal.reals import ExactReal, average, from_rational
 from lrcreal.streams import cons, constant
 
 digit_lists = st.lists(st.sampled_from(list(Digit)), max_size=64)
@@ -187,6 +191,52 @@ def test_a_digit_is_its_weight_and_nothing_else_is_a_digit():
     iv = refine(Interval(0, 1), Digit.L)
     assert (type(iv.lo), type(iv.hi)) == (Fraction, Fraction)
     assert repr(iv) == "Interval(lo=Fraction(0, 1), hi=Fraction(1, 2))"
+
+
+def test_a_stray_buffer_byte_is_a_domain_error():
+    # A bytes or bytearray of weights goes through one check: any byte
+    # but 0, 1 and 2 raises DomainError naming the first such byte.
+    for buffer in (bytes([7]), bytearray([0, 1, 2, 3, 7]), b"\0\2L"):
+        stray = next(b for b in buffer if b > 2)
+        for call in (lambda: digits_to_str(buffer), lambda: prefix_interval(buffer)):
+            with pytest.raises(DomainError, match="a digit must have weight 0, 1 or 2, got %d$" % stray):
+                call()
+    assert digits_to_str(bytearray([0, 1, 2])) == "LCR"
+    assert prefix_interval(b"") == UNIT
+
+
+def test_text_paths_under_the_lowest_int_str_limit():
+    # 640 is the lowest limit sys.set_int_max_str_digits accepts. Under
+    # it, every text path still reads and prints ints of any length.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for length in (639, 640, 700, 5000):
+            # The first ``length`` digits of 9876543210 repeated 500 times.
+            body = ("9876543210" * 500)[:length]
+            n = 9876543210 * ((10 ** 5000 - 1) // (10 ** 10 - 1)) // 10 ** (5000 - length)
+            for sign, value in (("", n), ("-", -n)):
+                assert _text_int(sign + body) == value
+                assert _int_text(value) == sign + body
+        deep = from_rational(Fraction(1, 3)).to_interval(20000)
+        lo, hi = str(deep)[1:-1].split(", ")
+        for endpoint, expected in ((lo, deep.lo), (hi, deep.hi)):
+            num, den = endpoint.split("/")
+            assert Fraction(_text_int(num), _text_int(den)) == expected
+        places = 3000
+        scale = 10 ** places
+        depth = scale.bit_length() + 2
+        third, fifth = from_rational(Fraction(1, 3)), from_rational(Fraction(1, 5))
+        for x in (average(third, fifth), from_rational(Fraction(123457, 999983))):
+            units = math.floor(x.to_interval(depth).midpoint * scale + Fraction(1, 2))
+            whole, frac = x.to_decimal(places).split(".")
+            assert len(frac) == places
+            assert (_text_int(whole), _text_int(frac)) == divmod(units, scale)
+        literal = "3" * 700 + "/1" + "0" * 700
+        assert format_expr(parse_expr(literal)) == literal
+        assert parse_expr(literal) == RatLit(Fraction(10 ** 700 // 3, 10 ** 700))
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_digit_text_forms():

@@ -17,9 +17,10 @@ from lrcreal import engine
 from lrcreal.digits import (
     UNIT, Digit, Interval, _left_end, _text_int, digits_to_str, emit_value, prefix_interval, refine,
 )
-from lrcreal.engine import _DECIMAL_BLOCK, _FILL_BLOCK, AffineData, RationalNode, StreamNode, demand, engine_states, state_value
+from lrcreal.engine import _FILL_BLOCK, AffineData, RationalNode, StreamNode, demand, engine_states, state_value
 from lrcreal.errors import DomainError
 from lrcreal.reals import (
+    _DECIMAL_BLOCK,
     GREATER,
     LESS,
     ExactReal,
@@ -245,6 +246,9 @@ def test_to_decimal_examples():
     assert from_rational(Fraction(1, 3)).to_decimal(4) == "0.3333"
     assert from_rational(Fraction(0)).to_decimal(2) == "0.00"
     assert from_rational(Fraction(1)).to_decimal(2) == "1.00"
+    # L C C C C C pins [7/32, 9/32]: its midpoint 1/4 is a tie at one
+    # place, and half-up rounding prints 0.3.
+    assert ExactReal(digits_then_constant([Digit.L], Digit.C)).to_decimal(1) == "0.3"
     with pytest.raises(ValueError):
         from_rational(Fraction(1, 2)).to_decimal(0)
 
