@@ -29,7 +29,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .digits import _fraction_text, _int_text, _text_int
+from .digits import _fraction_text, _int_text, _text_int, represents_to_depth
 from .errors import DomainError, ExprParseError, _count
 from .reals import ExactReal, affine, average, from_rational
 from .streams import fib_stream, increasing_to_depth, local_fib_to_depth, take
@@ -278,7 +278,7 @@ def selftest_command(cases: int, depth: int, seed: int):
     for case in range(cases):
         den = rng.randint(1, 10 ** 6)
         r = Fraction(rng.randint(0, den), den)
-        ok_rat = from_rational(r).to_interval(depth).contains(r)
+        ok_rat = represents_to_depth(from_rational(r).digits, r, depth)
 
         ca = _random_unit_fraction(rng, Fraction(1))
         cb = _random_unit_fraction(rng, 1 - ca)

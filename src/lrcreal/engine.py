@@ -690,24 +690,23 @@ def _run(node: EngineNode, want: int):
                         if len(right_out) < ready:
                             ready = len(right_out)
                     link = 3 * left_out[i] + right_out[i]
+                    i += 1
                     s = record[link]
                     if s is not None:
-                        i += 1
                         continue
                     # A miss: take the step from the record's state by arithmetic.
                     A, B, C, D = record[-1]
-                    C = _carry(left_out[i], right_out[i], A, B, C)
-                    i += 1
+                    C = _carry(left_out[i - 1], right_out[i - 1], A, B, C)
                     A *= 2
                     B *= 2
                     D *= 4
                     if C < 0:
                         raise DomainError("coefficient numerators must be non-negative")
                 else:
+                    out.append(digit)
+                    produced += 1
                     s = record[0]
                     if s is not None:
-                        out.append(digit)
-                        produced += 1
                         continue
                     link = 0
                     A, B, C, D = record[-1]
@@ -715,8 +714,6 @@ def _run(node: EngineNode, want: int):
                     B *= 4
                     C = 4 * C - digit * D
                     D *= 2
-                    out.append(digit)
-                    produced += 1
                 g = A | B | C | D
                 if not g & 1:
                     z = (g & -g).bit_length() - 1

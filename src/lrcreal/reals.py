@@ -113,8 +113,11 @@ class ExactReal:
         After ``depth`` digits the interval is [m, m + 2] / 2**(depth + 1),
         so the midpoint is mid = (m + 1) / 2**(depth + 1), and the text is
         units = floor(mid * scale + 1/2) for scale = 10**places, by one
-        renderer: long division of num / N, ``_DECIMAL_BLOCK`` digits per
-        step, one rounding test and one carry through the trailing 9s.
+        renderer: long division of num / N, one rounding test and one
+        carry through the trailing 9s. The division takes the partial
+        block of ``places % _DECIMAL_BLOCK`` digits first, if there is
+        one, then ``_DECIMAL_BLOCK`` digits per step; long division gives
+        the same digits whatever the block sizes.
         Let num * scale = Q * N + R with 0 <= R < N, and let
         e = (m + 1) * N - num * 2**(depth + 1), which is
         N * 2**(depth + 1) * (mid - num / N). Then
@@ -143,14 +146,13 @@ class ExactReal:
         else:
             num, N, e = self._left_end(depth) + 1, 2 << depth, 0
         whole, R = divmod(num, N)
+        size = places % _DECIMAL_BLOCK or _DECIMAL_BLOCK
+        step = 10 ** size
         blocks = []
-        for _ in range(places // _DECIMAL_BLOCK):
-            q, R = divmod(R * _DECIMAL_STEP, N)
-            blocks.append("%0*d" % (_DECIMAL_BLOCK, q))
-        rest = places % _DECIMAL_BLOCK
-        if rest:
-            q, R = divmod(R * 10 ** rest, N)
-            blocks.append("%0*d" % (rest, q))
+        for _ in range(-(-places // _DECIMAL_BLOCK)):
+            q, R = divmod(R * step, N)
+            blocks.append("%0*d" % (size, q))
+            size, step = _DECIMAL_BLOCK, _DECIMAL_STEP
         text = "".join(blocks)
         if ((2 * R - N) << depth) + e * scale >= 0:
             kept = text.rstrip("9")
@@ -309,10 +311,11 @@ def compare(x: ExactReal, y: ExactReal, max_depth: int) -> str | Indistinguishab
     w = bitlen(N_x * N_y) - bitlen(|diff|), |y - x| lies in
     (2**-(w + 1), 2**(1 - w)). So they are Indistinguishable when
     diff == 0 or max_depth < w, ordered by the sign of diff when
-    max_depth >= w + 2, and otherwise by one ``left_end`` pair at
-    ``max_depth``, one division each. When ``max_depth`` is at most the
-    narrower denominator's bit length, that one pair is taken at once,
-    with no product of the denominators.
+    max_depth >= w + 2. Otherwise one ``left_end`` pair at ``max_depth``,
+    one division each, gives the gap there, and the pair enters the
+    digit loop at depth ``max_depth``, whose head reads every verdict.
+    When ``max_depth`` is at most the narrower denominator's bit length,
+    that one pair is taken at once, with no product of the denominators.
 
     Otherwise a short buffer of an engine or stream node is demanded to
     just one more depth, so a real computed by the engine is never
@@ -326,6 +329,7 @@ def compare(x: ExactReal, y: ExactReal, max_depth: int) -> str | Indistinguishab
     _count(max_depth, "compare: max_depth")
     nx, ny = _node(x, "compare"), _node(y, "compare")
     x_ahead, y_ahead = type(nx) is RationalNode, type(ny) is RationalNode
+    gap = depth = 0
     if x_ahead and y_ahead:
         N_x, N_y = nx.denominator, ny.denominator
         if max_depth > min(N_x.bit_length(), N_y.bit_length()):
@@ -335,16 +339,15 @@ def compare(x: ExactReal, y: ExactReal, max_depth: int) -> str | Indistinguishab
                 return Indistinguishable(Fraction(1, 1 << max_depth))
             if max_depth >= w + 2:
                 return LESS if diff > 0 else GREATER
-        gap = ny.left_end(max_depth) - nx.left_end(max_depth)
+        gap, depth = ny.left_end(max_depth) - nx.left_end(max_depth), max_depth
+    xs, ys = nx.out, ny.out
+    while True:
         if gap > 2:
             return LESS
         if gap < -2:
             return GREATER
-        return Indistinguishable(Fraction(1, 1 << max_depth))
-    gap = 0
-    xs, ys = nx.out, ny.out
-    depth = 0
-    while depth < max_depth:
+        if depth == max_depth:
+            return Indistinguishable(Fraction(1, 1 << max_depth))
         if len(xs) <= depth:
             demand(nx, min(max(2 * depth, 1), max_depth) if x_ahead else depth + 1)
         if len(ys) <= depth:
@@ -357,9 +360,4 @@ def compare(x: ExactReal, y: ExactReal, max_depth: int) -> str | Indistinguishab
             dys, dxs = ys[depth:end], xs[depth:end]
             if dys != dxs:
                 gap += _left_end(dys) - _left_end(dxs)
-        if gap > 2:
-            return LESS
-        if gap < -2:
-            return GREATER
         depth = end
-    return Indistinguishable(Fraction(1, 1 << max_depth))

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import subprocess
 import sys
@@ -25,8 +26,8 @@ from lrcreal.cli import (
 from lrcreal.digits import _text_int, prefix_interval, str_to_digits
 from lrcreal.engine import RationalNode
 from lrcreal.errors import DomainError, ExprParseError
-from lrcreal.reals import from_rational
-from lrcreal.streams import fib_stream, take
+from lrcreal.reals import ExactReal, affine, from_rational
+from lrcreal.streams import Stream, fib_stream, take
 
 
 def run_cli(*args):
@@ -516,3 +517,86 @@ def test_cli_subprocess_selftest_deterministic():
     assert first.returncode == 0
     assert first.stdout.splitlines()[0] == "40/40 passed"
     assert first.stdout == second.stdout
+
+
+#: The CI smoke steps' pins, as (arguments, exit code, stream, pin). The
+#: pin is the stream's text less its newline, its sha256 after "sha256:",
+#: or None where only the exit code is pinned. The step's
+#: ``ulimit -v`` out-of-memory pin needs a capped process and is left to
+#: the CI.
+WIDE = "affine(123457/1000003, 234567/1000033, 1/999983; 1/3, 2/7)"
+ADD_T2 = "add(avg(1/3, 1/5), avg(1/7, affine(1/2, 1/3, 1/9; 2/7, 1/11)))"
+CI_PINS = [
+    (["eval", "1/3", "--digits", "6"], 0, "out", "LRLRLR"),
+    (["eval", "avg(1/3, 1/6)", "--format", "interval"], 0, "out", "[2147483647/8589934592, 2147483649/8589934592]"),
+    (["eval", "add(1/3, 1/6)", "--format", "decimal", "--decimals", "6"], 0, "out", "0.500000"),
+    (["eval", "affine(1/2, 1/4, 1/8; 1/3, 0)", "--digits", "12"], 0, "out", "LRLCLCLCLCLC"),
+    (["eval", WIDE, "--digits", "40"], 0, "out", "LLCLRCCLRLRCCRLCCRLLRLCCLRLRLLRCLRLRLCLC"),
+    (["eval", WIDE, "--digits", "400"], 0, "out",
+     "sha256:0808cf18fee1307d0d19a9787073c2ad9d4e108b4603eab511e2df0faccb84b6"),
+    (["eval", WIDE, "--digits", "4000"], 0, "out",
+     "sha256:00963d4a5a865890d2d714987e61ff7f3b43039ac441ec20a8946a2a627b4f0f"),
+    (["eval", ADD_T2, "--digits", "64"], 0, "out",
+     "CCCLRLRCCCLCCCRLLRRLCRLRLCLRLRLCRLCCCCLCCCLRLRLCLRCLCCCCCCRLCCCL"),
+    (["eval", ADD_T2, "--digits", "2000"], 0, "out",
+     "sha256:f82eab7736249cbb4d2e3025d4544cdf9052c5d42b70994471dd37d7eb70347f"),
+    (["eval", "123457/999983", "--format", "interval", "--digits", "8000"], 0, "out",
+     "sha256:81597bc0618cdb8a0a7d35c5890572a069f7edfe84a3730e20ef75f762bb77b2"),
+    (["eval", "123457/999983", "--format", "decimal", "--decimals", "2399"], 0, "out",
+     "sha256:92711ca085d187fcdd7ce94fafde9ddc689191e7a285275b98cf091d56be2899"),
+    (["eval", "1/8", "--format", "decimal", "--decimals", "2"], 0, "out", "0.12"),
+    (["eval", "19/20", "--format", "decimal", "--decimals", "1"], 0, "out", "0.9"),
+    (["eval", "999999/1000000", "--format", "decimal", "--decimals", "3"], 0, "out", "1.000"),
+    (["eval", "123457/999983", "--format", "decimal", "--decimals", "5000"], 0, "out",
+     "sha256:8b571914cd42fce2ad2a76cd62bb5af07bb9795f6515500455ec906255c63a03"),
+    (["eval", "avg(1/3, 1/5)", "--format", "decimal", "--decimals", "5000"], 0, "out",
+     "sha256:247d1a2a65a23550eb546778a01d21a8f6c3ee26bff2abe419da683f9218e9a8"),
+    (["eval", "%d/%d" % (10 ** 700 // 3, 10 ** 700), "--digits", "40"], 0, "out", "LR" * 20),
+    (["eval", "avg(-%s/7, 0)" % ("3" * 700)], 2, "err",
+     "sha256:c8cc2290eccc0aa4338b548a2fd347e6f06f722419975f84c12b211f87b73c50"),
+    (["eval", "0", "--format", "interval", "--digits", "64"], 0, "out", "[0, 1/18446744073709551616]"),
+    (["eval", "1", "--format", "interval", "--digits", "64"], 0, "out",
+     "[18446744073709551615/18446744073709551616, 1]"),
+    (["eval", "0", "--digits", "200"], 0, "out", "L" * 200),
+    (["eval", "avg(0, 1/3)", "--digits", "64"], 0, "out", "LC" * 32),
+    (["eval", "%d/%d" % (2 ** 4000 + 3, 3 * 2 ** 4000), "--digits", "8000"], 0, "out",
+     "sha256:afea0104120b33e75650da115f6fbb6d2095b952405c811dc4ba10f5deb44a0e"),
+    (["selftest", "--cases", "1000", "--depth", "40", "--seed", "42"], 0, "out",
+     "sha256:0305489f59bdf48f2e78bc2293e68ed404390742f9d34e6c9bfb9ae23404a1e1"),
+    (["fib", "--count", "10"], 0, "out", "1 1 2 3 5 8 13 21 34 55 | increasing: true | local_fib: true"),
+    (["eval", "1/3", "--digits", "-1"], 2, "err", None),
+    (["fib", "--count", "-1"], 2, "err", None),
+    (["eval", "1/3", "--format", "decimal", "--decimals", "0"], 2, "err", None),
+    (["selftest", "--depth", "-1"], 2, "err", None),
+    (["eval", "1/3", "--decimals", "-5"], 2, "err", None),
+    (["eval", "add(1/2, avg(1, 1/2))"], 2, "err", "error: add: sum 5/4 exceeds 1"),
+    (["eval", "\u00b2"], 1, "err", None),
+    (["eval", "avg(1/3 1/2)"], 1, "err", "error: syntax error at position 9: expected ',', found '1'"),
+    # tabs, newlines and Arabic-Indic digits read as the compact form does
+    (["eval", "affine(1/2,\t1/4, 0;\n\t\u0663/\u0664,\navg(1/3,\t0)\n)", "--digits", "40"], 0, "out",
+     "CL" + "CR" * 19),
+    (["eval", "affine(1/2, 1/4, 0; 3/4, avg(1/3, 0))", "--digits", "40"], 0, "out", "CL" + "CR" * 19),
+]
+
+
+def _pinned(text, pin):
+    if pin is None:
+        return True
+    if pin.startswith("sha256:"):
+        return hashlib.sha256(text.encode()).hexdigest() == pin[len("sha256:"):]
+    return text == pin + "\n"
+
+
+def test_main_keeps_the_ci_smoke_pins(capsys):
+    for args, code, stream, pin in CI_PINS:
+        assert main(args) == code, args[:3]
+        captured = capsys.readouterr()
+        assert _pinned(captured.out if stream == "out" else captured.err, pin), args[:3]
+
+    # The series smoke step: T(k) = (1 + T(k+1))/(k+1) is e - 2 at k = 1.
+    def T(k):
+        inner = ExactReal(Stream(lambda: T(k + 1).digits.force()))
+        return affine(Fraction(1, k + 1), 0, Fraction(1, k + 1), inner, from_rational(0))
+
+    assert _pinned(T(1).digit_string(1000) + "\n",
+                   "sha256:35af900879759c14d7af0c2983b0bb425270a21945ce6a50377f71853a7a766f")
