@@ -26,10 +26,9 @@ import argparse
 import random
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .digits import _fraction_text, _int_text, _text_int, represents_to_depth
+from .digits import _fraction_text, _int_text, _Record, _text_int, represents_to_depth
 from .errors import DomainError, ExprParseError, _count
 from .reals import ExactReal, affine, average, from_rational
 from .streams import fib_stream, increasing_to_depth, local_fib_to_depth, take
@@ -50,30 +49,40 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RatLit:
-    value: Fraction
+class RatLit(_Record):
+    __slots__ = __match_args__ = ("value",)
+
+    def __init__(self, value: Fraction):
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Avg:
-    left: "Expr"
-    right: "Expr"
+class _Pair(_Record):
+    """A call of two operands, the fields of ``Avg`` and ``Add``."""
+
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __init__(self, left: "Expr", right: "Expr"):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Add:
-    left: "Expr"
-    right: "Expr"
+class Avg(_Pair):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Affine:
-    ca: Fraction
-    cb: Fraction
-    cc: Fraction
-    left: "Expr"
-    right: "Expr"
+class Add(_Pair):
+    __slots__ = ()
+
+
+class Affine(_Record):
+    __slots__ = __match_args__ = ("ca", "cb", "cc", "left", "right")
+
+    def __init__(self, ca: Fraction, cb: Fraction, cc: Fraction, left: "Expr", right: "Expr"):
+        object.__setattr__(self, "ca", ca)
+        object.__setattr__(self, "cb", cb)
+        object.__setattr__(self, "cc", cc)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
 Expr = RatLit | Avg | Add | Affine

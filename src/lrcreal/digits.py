@@ -17,12 +17,15 @@ one check of an exact rational: an ``Interval`` endpoint, the value
 
 ``_int_text`` and ``_text_int`` are the one conversion of an int to and
 from decimal text, at any size and under any ``sys.set_int_max_str_digits``
-setting, and ``_fraction_text`` and ``_fraction_repr`` print a ``Fraction``
-with them.
+setting; ``_fraction_text`` prints a ``Fraction`` with them, and
+``_value_repr`` a record's field.
+
+``_Record`` is the base of the library's immutable records: ``Interval``
+here, ``Indistinguishable`` in ``reals`` and the ``Expr`` nodes of the
+command line.
 """
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 from decimal import Decimal
 from enum import IntEnum
 from fractions import Fraction
@@ -61,21 +64,58 @@ class Digit(IntEnum):
         return self.name
 
 
-@dataclass(frozen=True)
-class Interval:
+class _Record:
+    """An immutable record of the fields its class names in ``__match_args__``.
+
+    Equality, hash, ``repr``, copy and pickle go by the tuple of those
+    fields, as a frozen dataclass's do, and assigning or deleting any
+    attribute raises AttributeError. A record class names its fields once,
+    as ``__slots__ = __match_args__ = (...)``, and its ``__init__`` sets
+    them with ``object.__setattr__``; a subclass with no fields of its own
+    sets ``__slots__ = ()`` and inherits the names.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+    def __repr__(self):
+        """``Name(field=value, ...)``, with each Fraction or int printed at any size."""
+        fields = ", ".join("%s=%s" % (name, _value_repr(getattr(self, name))) for name in self.__match_args__)
+        return "%s(%s)" % (self.__class__.__qualname__, fields)
+
+
+class Interval(_Record):
     """Closed interval [lo, hi] with exact rational endpoints; any other
     endpoint, or a ``lo`` above ``hi``, raises DomainError."""
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = __match_args__ = ("lo", "hi")
 
-    def __post_init__(self):
-        _ratio(self.lo, "Interval")
-        _ratio(self.hi, "Interval")
-        if self.lo > self.hi:
-            raise DomainError(
-                "interval endpoints out of order: %s > %s" % (_fraction_text(self.lo), _fraction_text(self.hi))
-            )
+    def __init__(self, lo: Fraction, hi: Fraction):
+        _ratio(lo, "Interval")
+        _ratio(hi, "Interval")
+        if lo > hi:
+            raise DomainError("interval endpoints out of order: %s > %s" % (_fraction_text(lo), _fraction_text(hi)))
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     @property
     def width(self) -> Fraction:
@@ -97,10 +137,6 @@ class Interval:
     def __str__(self):
         """``[lo, hi]`` as ``str`` prints each Fraction, at any size."""
         return "[%s, %s]" % (_fraction_text(self.lo), _fraction_text(self.hi))
-
-    def __repr__(self):
-        """The dataclass's own text, at any size of the endpoints."""
-        return "Interval(lo=%s, hi=%s)" % (_fraction_repr(self.lo), _fraction_repr(self.hi))
 
 
 def _int_text(n: int) -> str:
@@ -125,9 +161,11 @@ def _fraction_text(r: Fraction) -> str:
     return text if r.denominator == 1 else text + "/" + _int_text(r.denominator)
 
 
-def _fraction_repr(r: Fraction) -> str:
-    """``repr(r)``, at any size."""
-    return "Fraction(%s, %s)" % (_int_text(r.numerator), _int_text(r.denominator))
+def _value_repr(value) -> str:
+    """``repr(value)``, at any size of a Fraction or an int."""
+    if isinstance(value, Fraction):
+        return "Fraction(%s, %s)" % (_int_text(value.numerator), _int_text(value.denominator))
+    return _int_text(value) if value.__class__ is int else repr(value)
 
 
 #: ``bytes.translate`` tables from a weight byte to the high and the low

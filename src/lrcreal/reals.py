@@ -13,11 +13,10 @@ the one module that computes it: an unchecked ``affine`` refuses a known
 value above 1.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .digits import (
-    Interval, _dyadic_interval, _fraction_repr, _fraction_text, _left_end, _ratio, digits_to_str,
+    Interval, _dyadic_interval, _fraction_text, _left_end, _ratio, _Record, digits_to_str,
 )
 # No query here refines Fraction intervals or folds a digit prefix any
 # more, but the benchmark's tracer (bench/spans.py) wraps the
@@ -257,8 +256,7 @@ LESS = "less"
 GREATER = "greater"
 
 
-@dataclass(frozen=True)
-class Indistinguishable:
+class Indistinguishable(_Record):
     """Both intervals still overlap at the search limit.
 
     ``resolution`` is the interval width reached (2**-max_depth); the two
@@ -268,14 +266,11 @@ class Indistinguishable:
     checks its value.
     """
 
-    resolution: Fraction
+    __slots__ = __match_args__ = ("resolution",)
 
-    def __post_init__(self):
-        _ratio(self.resolution, "Indistinguishable")
-
-    def __repr__(self):
-        """The dataclass's own text, at any size of ``resolution``."""
-        return "Indistinguishable(resolution=%s)" % _fraction_repr(self.resolution)
+    def __init__(self, resolution: Fraction):
+        _ratio(resolution, "Indistinguishable")
+        object.__setattr__(self, "resolution", resolution)
 
 
 def compare(x: ExactReal, y: ExactReal, max_depth: int) -> str | Indistinguishable:

@@ -444,6 +444,14 @@ def test_main_reads_literals_past_int_str_limit(capsys):
     assert parse_expr(format_expr(e)) == e
 
 
+def test_expr_repr_past_int_str_limit():
+    # A literal of 5,001 digits prints in full, as an Interval's endpoints do.
+    num, den = "1" + "0" * 5000, "1" + "0" * 4999 + "1"
+    assert repr(parse_expr("avg(%s/%s, 0)" % (num, den))) == (
+        "Avg(left=RatLit(value=Fraction(%s, %s)), right=RatLit(value=Fraction(0, 1)))" % (num, den)
+    )
+
+
 def test_domain_errors_past_int_str_limit(capsys):
     # The messages render big literals in full instead of failing on them.
     assert main(["eval", THREES + "/1"]) == 2

@@ -61,11 +61,31 @@ print([sum(ref() is not None for ref in refs) for refs in copies])
 """ % (LIBRARY,)
 
 
+def run_child(code: str, *flags: str) -> str:
+    """The output of ``code`` run by a child interpreter with ``flags``,
+    which imports lrcreal from ``src/``."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    child = subprocess.run([sys.executable, *flags, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    return child.stdout.strip()
+
+
 def test_a_reloaded_library_frees_its_earlier_copies():
     # A child process: reloading inside this one would mix old and new
     # classes in other tests' identity checks.
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    child = subprocess.run([sys.executable, "-c", RELOADS], env=env, capture_output=True, text=True, timeout=120)
-    assert child.returncode == 0, child.stderr
-    assert child.stdout.strip() == "[0, 0, 0, 0, 4]"
+    assert run_child(RELOADS) == "[0, 0, 0, 0, 4]"
+
+
+#: Imports the package and its command line, and prints which of
+#: ``dataclasses`` and ``inspect`` that loaded.
+IMPORTS = """
+import sys
+import lrcreal, lrcreal.cli
+print(sorted({"dataclasses", "inspect"} & set(sys.modules)))
+"""
+
+
+def test_importing_the_library_loads_no_dataclasses():
+    # ``-S`` skips ``site``, so only the library's own imports are counted.
+    assert run_child(IMPORTS, "-S") == "[]"
